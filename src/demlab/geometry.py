@@ -11,8 +11,9 @@ the area form,
     lap(v) = (1 / (2 * total_area)) * (v_xx + v_yy),
 
 so it is nonpositive at interior maxima.  All derivatives are computed as
-Fourier multipliers; band-limited fields are therefore differentiated to
-machine precision, which keeps the test tolerances tight.
+Fourier multipliers on the half spectrum of real FFTs; band-limited fields
+are therefore differentiated to machine precision, which keeps the test
+tolerances tight.
 
 A scalar field is a plain ``numpy`` array of shape (n, n) bound to a Grid;
 ``Grid.bind`` enforces the binding (shape and finiteness).
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.signal import resample
+from scipy import fft
 
 ScalarField = np.ndarray
 
@@ -50,16 +51,23 @@ class Grid:
         return self.total_area / float(self.n * self.n)
 
     @cached_property
-    def _wavenumbers(self) -> np.ndarray:
-        # Integer frequencies 0, 1, ..., n/2-1, -n/2, ..., -1.
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)
-
-    @cached_property
     def laplacian_multiplier(self) -> np.ndarray:
-        """Fourier multiplier of the Laplacian: -(2*pi^2/total_area)*|k|^2."""
-        k = self._wavenumbers
-        kx, ky = np.meshgrid(k, k, indexing="ij")
+        """Half-spectrum multiplier of the Laplacian: -(2*pi^2/total_area)*|k|^2.
+
+        Shape (n, n//2 + 1), matching ``rfft2`` of an (n, n) field: integer
+        frequencies 0..n/2-1, -n/2..-1 along rows and 0..n/2 along columns.
+        """
+        kx = np.fft.fftfreq(self.n, d=1.0 / self.n)[:, None]
+        ky = np.fft.rfftfreq(self.n, d=1.0 / self.n)[None, :]
         return -(2.0 * np.pi**2 / self.total_area) * (kx**2 + ky**2)
+
+    def rfft2(self, v: np.ndarray) -> np.ndarray:
+        """Half spectrum of a field or a stack of fields (last two axes)."""
+        return fft.rfft2(v, axes=(-2, -1))
+
+    def irfft2(self, v_hat: np.ndarray) -> np.ndarray:
+        """Real fields from half spectra shaped like ``laplacian_multiplier``."""
+        return fft.irfft2(v_hat, s=(self.n, self.n), axes=(-2, -1))
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Meshgrid (X, Y) of sample coordinates, 'ij' indexing."""
@@ -93,8 +101,7 @@ class Grid:
             raise ValueError(
                 f"field shape {arr.shape} does not match grid ({self.n}, {self.n})"
             )
-        v_hat = np.fft.fft2(arr, axes=(-2, -1))
-        return np.real(np.fft.ifft2(self.laplacian_multiplier * v_hat, axes=(-2, -1)))
+        return self.irfft2(self.laplacian_multiplier * self.rfft2(arr))
 
     def mean_value(self, v: ScalarField) -> float:
         """Area-form average: integral of v against omega0 over total_area."""
@@ -145,13 +152,11 @@ def greens_kernel(grid: Grid) -> GreenKernel:
     zero mean on the kernel, then shifts by a constant so that max G = 0.
     """
     n = grid.n
-    rhs_hat = np.full((n, n), n * n / grid.total_area, dtype=complex)
-    rhs_hat[0, 0] = 0.0
     mult = grid.laplacian_multiplier.copy()
     mult[0, 0] = 1.0  # unused: rhs has no mean component
-    g_hat = rhs_hat / mult
+    g_hat = (n * n / grid.total_area) / mult
     g_hat[0, 0] = 0.0
-    g = np.real(np.fft.ifft2(g_hat))
+    g = grid.irfft2(g_hat)
     g -= g.max()
     return GreenKernel(grid, g)
 
@@ -166,7 +171,7 @@ def green_reconstruct(kernel: GreenKernel, v: ScalarField) -> ScalarField:
     """
     grid = kernel.grid
     w = grid.laplacian(grid.bind(v))
-    conv = np.real(np.fft.ifft2(np.fft.fft2(kernel.values) * np.fft.fft2(w)))
+    conv = grid.irfft2(grid.rfft2(kernel.values) * grid.rfft2(w))
     return grid.mean_value(v) + conv * grid.cell_weight
 
 
@@ -174,15 +179,24 @@ def spectral_resample(grid: Grid, v: ScalarField, n_new: int) -> np.ndarray:
     """Resample a field onto a finer n_new-by-n_new grid via Fourier padding.
 
     Exact for fields band-limited below the coarse Nyquist frequency; used
-    for cross-grid comparisons in convergence studies.
+    for cross-grid comparisons in convergence studies.  The coarse Nyquist
+    row and column are split evenly between +n/2 and -n/2 on the fine grid,
+    so the padded spectrum stays Hermitian and the output real.
     """
-    if n_new < grid.n:
+    n = grid.n
+    if n_new < n:
         raise ValueError("spectral_resample only refines: n_new >= grid.n required")
     arr = grid.bind(v)
-    if n_new == grid.n:
+    if n_new == n:
         return arr.copy()
-    fine = resample(resample(arr, n_new, axis=0), n_new, axis=1)
-    return np.asarray(fine, dtype=float)
+    h = n // 2
+    coarse = grid.rfft2(arr) * (float(n_new) / n) ** 2
+    coarse[h, :] *= 0.5
+    coarse[:, h] *= 0.5
+    fine = np.zeros((n_new, n_new // 2 + 1), dtype=complex)
+    fine[: h + 1, : h + 1] = coarse[: h + 1]
+    fine[n_new - h :, : h + 1] = coarse[h:]
+    return fft.irfft2(fine, s=(n_new, n_new))
 
 
 def random_band_limited(

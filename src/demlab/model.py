@@ -304,8 +304,16 @@ def cone_margin(state: State, params: DemaillyParams) -> float:
     return float(np.min(cone_factors(state, params)))
 
 
-def _exp_mu_f(f: np.ndarray, mu: float, ef: np.ndarray) -> np.ndarray:
-    return ef if mu == 1.0 else np.exp(mu * f)
+def _admissible_cone_factors(state: State, params: DemaillyParams) -> np.ndarray:
+    """``cone_factors``, raising ConeViolationError at or below the cone floor."""
+    m = cone_factors(state, params)
+    floor = params.cone_floor_value
+    m_min = float(np.min(m))
+    if m_min <= floor:
+        raise ConeViolationError(
+            f"cone margin {m_min:.3e} at or below floor {floor:.3e} (t={state.t})"
+        )
+    return m
 
 
 def residual(
@@ -316,23 +324,11 @@ def residual(
     Raises ConeViolationError when any cone factor drops to the floor or
     below; the log-determinant is not evaluated outside the cone.
     """
-    grid = state.grid
-    r = state.rank
     a0 = params.require_a0()
-    ef = np.exp(state.f)
-    emu = _exp_mu_f(state.f, params.mu, ef)
-    lap_f = grid.laplacian(state.f)
-    m = lap_f[None, :, :] + 1.0 / r - ef[None, :, :] * state.u + (
-        1.0 - state.t
-    ) * params.alpha0
-    floor = params.cone_floor_value
-    m_min = float(np.min(m))
-    if m_min <= floor:
-        raise ConeViolationError(
-            f"cone margin {m_min:.3e} at or below floor {floor:.3e} (t={state.t})"
-        )
+    m = _admissible_cone_factors(state, params)
+    emu = np.exp(params.mu * state.f)
     r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - np.log(a0)
-    r_u = grid.laplacian(state.u) - curv.s - emu[None, :, :] * state.u
+    r_u = state.grid.laplacian(state.u) - curv.s - emu[None, :, :] * state.u
     return r_f, r_u
 
 
@@ -341,40 +337,64 @@ def residual_sup(r_f: ScalarField, r_u: np.ndarray) -> float:
     return max(float(np.max(np.abs(r_f))), float(np.max(np.abs(r_u))))
 
 
+@dataclass(frozen=True, eq=False)
+class Linearization:
+    """The derivative of ``residual`` frozen at one state.
+
+    Everything that depends only on the state is computed once by
+    ``linearize``, so each ``apply_linearization`` costs one stacked
+    Laplacian and pointwise products.  ``m`` holds the cone factors M_i.
+    """
+
+    grid: Grid
+    lam: float
+    m: np.ndarray  # M_i, (r, n, n)
+    inv_m: np.ndarray  # 1 / M_i
+    ef: np.ndarray  # e^f, (n, n)
+    ef_u: np.ndarray  # e^f u_i, (r, n, n)
+    emu: np.ndarray  # e^(mu f), (n, n)
+    dmu_u: np.ndarray  # mu e^(mu f) u_i, (r, n, n)
+
+
+def linearize(
+    state: State, curv: CurvatureData, params: DemaillyParams
+) -> Linearization:
+    """Freeze the derivative of ``residual`` at ``state``.
+
+    Raises ConeViolationError when the state is outside the cone, where the
+    derivative of the log-determinant is undefined.  ``curv`` enters the
+    residual only as a constant, so the derivative does not read it.
+    """
+    m = _admissible_cone_factors(state, params)
+    ef = np.exp(state.f)
+    emu = np.exp(params.mu * state.f)
+    return Linearization(
+        grid=state.grid,
+        lam=params.lam,
+        m=m,
+        inv_m=1.0 / m,
+        ef=ef,
+        ef_u=ef[None, :, :] * state.u,
+        emu=emu,
+        dmu_u=params.mu * emu[None, :, :] * state.u,
+    )
+
+
 def apply_linearization(
-    state: State,
-    curv: CurvatureData,
-    params: DemaillyParams,
-    p: Perturbation,
+    lin: Linearization, p: Perturbation
 ) -> tuple[ScalarField, np.ndarray]:
-    """Exact Frechet derivative of ``residual`` at ``state`` in direction ``p``.
+    """Exact Frechet derivative of ``residual`` at the frozen state in direction ``p``.
 
     dR_f = sum_i (lap(df) - e^f u_i df - e^f du_i) / M_i - lambda df
     dR_i = lap(du_i) - mu e^(mu f) u_i df - e^(mu f) du_i
     """
-    grid = state.grid
-    r = state.rank
-    ef = np.exp(state.f)
-    emu = _exp_mu_f(state.f, params.mu, ef)
-    lap_f = grid.laplacian(state.f)
-    m = lap_f[None, :, :] + 1.0 / r - ef[None, :, :] * state.u + (
-        1.0 - state.t
-    ) * params.alpha0
-    floor = params.cone_floor_value
-    if float(np.min(m)) <= floor:
-        raise ConeViolationError("cone condition violated at linearization point")
+    grid = lin.grid
     df = grid.bind(p.df)
     du = np.asarray(p.du, dtype=float)
-    lap_df = grid.laplacian(df)
-    dm = lap_df[None, :, :] - ef[None, :, :] * state.u * df[None, :, :] - ef[
-        None, :, :
-    ] * du
-    dr_f = np.sum(dm / m, axis=0) - params.lam * df
-    dr_u = (
-        grid.laplacian(du)
-        - params.mu * (emu * df)[None, :, :] * state.u
-        - emu[None, :, :] * du
-    )
+    lap = grid.laplacian(np.concatenate([df[None, :, :], du]))
+    dm = lap[:1] - lin.ef_u * df[None, :, :] - lin.ef[None, :, :] * du
+    dr_f = np.sum(dm * lin.inv_m, axis=0) - lin.lam * df
+    dr_u = lap[1:] - lin.dmu_u * df[None, :, :] - lin.emu[None, :, :] * du
     return dr_f, dr_u
 
 

@@ -34,9 +34,9 @@ from .model import (
     Perturbation,
     State,
     apply_linearization,
-    cone_factors,
     cone_margin,
     l_inverse,
+    linearize,
     residual,
     residual_sup,
 )
@@ -82,21 +82,19 @@ def solve_helmholtz(grid: Grid, c, rhs: ScalarField) -> ScalarField:
 
     mult = grid.laplacian_multiplier
     if float(np.ptp(c_arr)) == 0.0:
-        w_hat = np.fft.fft2(rhs) / (mult - c_min)
-        return np.real(np.fft.ifft2(w_hat))
+        return grid.irfft2(grid.rfft2(rhs) / (mult - c_min))
 
     n = grid.n
     nn = n * n
     c_flat = c_arr.ravel()
-    c_bar = float(np.mean(c_arr))
+    symbol = float(np.mean(c_arr)) - mult
 
     def matvec(x):
         v = x.reshape(n, n)
         return (c_flat * x) - grid.laplacian(v).ravel()
 
     def precond(y):
-        w_hat = np.fft.fft2(y.reshape(n, n)) / (c_bar - mult)
-        return np.real(np.fft.ifft2(w_hat)).ravel()
+        return grid.irfft2(grid.rfft2(y.reshape(n, n)) / symbol).ravel()
 
     op = LinearOperator((nn, nn), matvec=matvec, dtype=float)
     prec = LinearOperator((nn, nn), matvec=precond, dtype=float)
@@ -299,6 +297,7 @@ def _project_trace(u: np.ndarray) -> np.ndarray:
 
 
 def _newton_direction(state, curv, params, r_f, r_u, forcing):
+    lin = linearize(state, curv, params)
     grid = state.grid
     n = grid.n
     nn = n * n
@@ -316,25 +315,20 @@ def _newton_direction(state, curv, params, r_f, r_u, forcing):
 
     def matvec(z):
         df, du = unpack(z)
-        dr_f, dr_u = apply_linearization(state, curv, params, Perturbation(df, du))
+        dr_f, dr_u = apply_linearization(lin, Perturbation(df, du))
         if nu:
             return np.concatenate([dr_f.ravel(), dr_u[:nu].ravel()])
         return dr_f.ravel()
 
-    m = cone_factors(state, params)
-    sigma = float(np.sum(1.0 / np.mean(m, axis=(1, 2))))
+    # Constant-coefficient symbols: sigma lap - lambda for the potential
+    # block, lap - 1 for each twist block; one stacked transform per call.
+    sigma = float(np.sum(1.0 / np.mean(lin.m, axis=(1, 2))))
     mult = grid.laplacian_multiplier
-    p_f = sigma * mult - params.lam
-    p_u = mult - 1.0
+    symbols = np.stack([sigma * mult - params.lam] + [mult - 1.0] * nu)
 
     def precond(y):
-        f_hat = np.fft.fft2(y[:nn].reshape(n, n)) / p_f
-        out_f = np.real(np.fft.ifft2(f_hat)).ravel()
-        if not nu:
-            return out_f
-        u_hat = np.fft.fft2(y[nn:].reshape(nu, n, n), axes=(-2, -1)) / p_u
-        out_u = np.real(np.fft.ifft2(u_hat, axes=(-2, -1))).ravel()
-        return np.concatenate([out_f, out_u])
+        blocks = y.reshape(1 + nu, n, n)
+        return grid.irfft2(grid.rfft2(blocks) / symbols).ravel()
 
     size = (1 + nu) * nn
     op = LinearOperator((size, size), matvec=matvec, dtype=float)

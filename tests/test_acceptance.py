@@ -17,6 +17,7 @@ from demlab import (
     State,
     apply_linearization,
     closed_form_state,
+    linearize,
     build_curvature,
     green_reconstruct,
     greens_kernel,
@@ -170,7 +171,7 @@ def test_criterion_06_jacobian_consistency():
         p_du = np.stack([random_band_limited(grid, rng, kmax=3) for _ in range(2)])
         p_du -= p_du.mean(axis=0)
         p = Perturbation(p_df, p_du)
-        dr_f, dr_u = apply_linearization(state, curv, params, p)
+        dr_f, dr_u = apply_linearization(linearize(state, curv, params), p)
         plus = State(grid, state.f + eps * p.df, state.u + eps * p.du, t)
         minus = State(grid, state.f - eps * p.df, state.u - eps * p.du, t)
         rf_p, ru_p = residual(plus, curv, params)

@@ -61,6 +61,27 @@ def test_laplacian_stacked_fields():
         assert np.array_equal(stacked[i], grid.laplacian(fields[i]))
 
 
+def _complex_fft_laplacian(grid, v):
+    # Reference: the full complex spectrum with the |k|^2 multiplier.
+    k = np.fft.fftfreq(grid.n, d=1.0 / grid.n)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    mult = -(2.0 * np.pi**2 / grid.total_area) * (kx**2 + ky**2)
+    return np.real(np.fft.ifft2(mult * np.fft.fft2(v, axes=(-2, -1)), axes=(-2, -1)))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_laplacian_matches_complex_fft_reference(n, shape):
+    # White noise carries content up to and including the Nyquist row and
+    # column, where the half spectrum differs most from the full one.
+    grid = make_grid(n, 4.0)
+    v = np.random.default_rng(n).normal(size=shape + (n, n))
+    ref = _complex_fft_laplacian(grid, v)
+    lap = grid.laplacian(v)
+    assert lap.shape == v.shape
+    assert np.max(np.abs(lap - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_mean_value_examples():
     grid = make_grid(32, 4.0)
     X, _ = grid.coords()
@@ -163,6 +184,19 @@ def test_spectral_resample_band_limited_exact():
         2 * np.pi * 3 * X
     )
     up = spectral_resample(coarse, coarse.sample(fn), 64)
+    assert np.max(np.abs(up - fine.sample(fn))) < 1e-12
+
+
+def test_spectral_resample_nyquist_mode_exact():
+    # cos(pi n x) sits on the coarse Nyquist row; splitting it between
+    # +n/2 and -n/2 on the fine grid reproduces the same cosine.
+    coarse = make_grid(16, 4.0)
+    fine = make_grid(32, 4.0)
+    fn = lambda X, Y: np.cos(2 * np.pi * 8 * X) + np.cos(2 * np.pi * 8 * X) * np.cos(
+        2 * np.pi * 8 * Y
+    )
+    up = spectral_resample(coarse, coarse.sample(fn), 32)
+    assert up.dtype == np.float64
     assert np.max(np.abs(up - fine.sample(fn))) < 1e-12
 
 

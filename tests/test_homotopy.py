@@ -133,6 +133,18 @@ def test_march_non_ample_breakdown(grid16):
     assert residual_sup(r_f, r_u) <= 1e-9
 
 
+def test_march_readme_case_work_pinned():
+    # The README cosine case at n=32 takes a fixed path: 21 accepted states
+    # and 54 Newton iterations.  Any change to either is a change of
+    # behaviour, not of speed.
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    assert report.reached_t1
+    assert len(report.steps) == 21
+    assert sum(step.newton.iterations for step in report.steps) == 54
+
+
 def test_march_records_wall_clock(grid16):
     report = march(BundleSpec((1, 3)), DemaillyParams(lam=8.0, alpha0=10.0), grid16)
     assert all(s.wall_seconds >= 0.0 for s in report.steps)

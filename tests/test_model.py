@@ -15,6 +15,7 @@ from demlab import (
     closed_form_state,
     cone_margin,
     l_inverse,
+    linearize,
     make_grid,
     random_band_limited,
     residual,
@@ -208,7 +209,7 @@ def test_linearization_zero_direction(grid16):
     curv = build_curvature(BundleSpec((1, 3)), grid16)
     state, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
     p = Perturbation(np.zeros((16, 16)), np.zeros((2, 16, 16)))
-    dr_f, dr_u = apply_linearization(state, curv, params, p)
+    dr_f, dr_u = apply_linearization(linearize(state, curv, params), p)
     assert np.max(np.abs(dr_f)) == 0.0
     assert np.max(np.abs(dr_u)) == 0.0
 
@@ -222,7 +223,7 @@ def test_linearization_matches_finite_differences(grid16):
     for trial in range(3):
         state = _admissible_state(grid16, spec, curv, params, rng)
         p = _random_direction(grid16, 2, rng)
-        dr_f, dr_u = apply_linearization(state, curv, params, p)
+        dr_f, dr_u = apply_linearization(linearize(state, curv, params), p)
         plus = State(grid16, state.f + eps * p.df, state.u + eps * p.du, state.t)
         minus = State(grid16, state.f - eps * p.df, state.u - eps * p.du, state.t)
         rf_p, ru_p = residual(plus, curv, params)
@@ -241,9 +242,65 @@ def test_linearization_at_t0_constant_data(grid16):
     state, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
     rng = np.random.default_rng(31)
     p = _random_direction(grid16, 2, rng)
-    _, dr_u = apply_linearization(state, curv, params, p)
+    _, dr_u = apply_linearization(linearize(state, curv, params), p)
     expected = grid16.laplacian(p.du) - p.du - state.u * p.df[None, :, :]
     assert np.max(np.abs(dr_u - expected)) < 1e-12
+
+
+def _unfrozen_linearization(state, params, p):
+    # Reference derivative that recomputes e^f, e^(mu f), lap f and M_i from
+    # the state on every application instead of freezing them.
+    grid = state.grid
+    r = state.rank
+    ef = np.exp(state.f)
+    emu = ef if params.mu == 1.0 else np.exp(params.mu * state.f)
+    m = grid.laplacian(state.f)[None, :, :] + 1.0 / r - ef[None, :, :] * state.u + (
+        1.0 - state.t
+    ) * params.alpha0
+    lap_df = grid.laplacian(p.df)
+    dm = lap_df[None, :, :] - ef[None, :, :] * state.u * p.df[None, :, :] - ef[
+        None, :, :
+    ] * p.du
+    dr_f = np.sum(dm / m, axis=0) - params.lam * p.df
+    dr_u = (
+        grid.laplacian(p.du)
+        - params.mu * (emu * p.df)[None, :, :] * state.u
+        - emu[None, :, :] * p.du
+    )
+    return dr_f, dr_u
+
+
+@pytest.mark.parametrize("degrees", [(4,), (1, 3), (1, 2, 3)])
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+def test_frozen_linearization_matches_unfrozen_formula(degrees, mu):
+    from dataclasses import replace
+
+    spec = BundleSpec(degrees)
+    grid = make_grid(32, float(sum(degrees)))
+    curv = build_curvature(spec, grid)
+    _, base = solve_t0(curv, DemaillyParams(lam=10.0, alpha0=10.0))
+    params = replace(base, mu=mu)
+    rng = np.random.default_rng(71 + len(degrees))
+    state = _admissible_state(grid, spec, curv, base, rng)
+    lin = linearize(state, curv, params)
+    # One frozen linearization serves every direction.
+    for _ in range(3):
+        p = _random_direction(grid, len(degrees), rng)
+        dr_f, dr_u = apply_linearization(lin, p)
+        ref_f, ref_u = _unfrozen_linearization(state, params, p)
+        scale = max(np.max(np.abs(ref_f)), np.max(np.abs(ref_u)))
+        err = max(np.max(np.abs(dr_f - ref_f)), np.max(np.abs(dr_u - ref_u)))
+        assert err <= 1e-12 * scale
+
+
+def test_linearize_rejects_state_outside_cone(grid16):
+    curv = build_curvature(BundleSpec((1, 3)), grid16)
+    _, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    # M_1 = 1/2 - 50 < 0 at t = 1, where the homotopy offset is gone.
+    u = np.stack([np.full((16, 16), 50.0), np.full((16, 16), -50.0)])
+    state = State(grid16, np.zeros((16, 16)), u, 1.0)
+    with pytest.raises(ConeViolationError, match="at or below floor"):
+        linearize(state, curv, params)
 
 
 def test_residual_trace_compatibility(grid16):
@@ -296,7 +353,7 @@ def test_mu_override_wiring(grid16):
     assert np.max(np.abs(r_f - r_f_std)) == 0.0
     # Derivative stays consistent under the override.
     p = _random_direction(grid16, 2, rng)
-    dr_f, dr_u = apply_linearization(state, curv, params, p)
+    dr_f, dr_u = apply_linearization(linearize(state, curv, params), p)
     eps = 1e-5
     plus = State(grid16, state.f + eps * p.df, state.u + eps * p.du, state.t)
     minus = State(grid16, state.f - eps * p.df, state.u - eps * p.du, state.t)
