@@ -73,6 +73,7 @@ class RunConfig:
     mu: float = 1.0
     dt0: float = 0.05
     dt_floor: float = 1e-4
+    dt_max: float = 1.0
     newton_tol: float = 1e-9
     cone_floor: float | None = None
     out_dir: str | None = None
@@ -105,6 +106,10 @@ class RunConfig:
             raise ConfigError("cosine perturbations need rank >= 2")
         if self.dt0 <= 0 or self.dt_floor <= 0:
             raise ConfigError("march.dt0 and march.dt_floor must be positive")
+        if self.dt_max < self.dt0:
+            raise ConfigError(
+                f"march.dt_max ({self.dt_max}) must be at least march.dt0 ({self.dt0})"
+            )
         if self.newton_tol <= 0:
             raise ConfigError("tol.newton must be positive")
         if self.cone_floor is not None and self.cone_floor <= 0:
@@ -175,6 +180,7 @@ def parse_config(text: str) -> RunConfig:
         "params.mu",
         "march.dt0",
         "march.dt_floor",
+        "march.dt_max",
         "tol.newton",
         "tol.cone_floor",
         "output.dir",
@@ -212,6 +218,8 @@ def parse_config(text: str) -> RunConfig:
         config.dt0 = _parse_float("march.dt0", entries["march.dt0"])
     if "march.dt_floor" in entries:
         config.dt_floor = _parse_float("march.dt_floor", entries["march.dt_floor"])
+    if "march.dt_max" in entries:
+        config.dt_max = _parse_float("march.dt_max", entries["march.dt_max"])
     if "tol.newton" in entries:
         config.newton_tol = _parse_float("tol.newton", entries["tol.newton"])
     if "tol.cone_floor" in entries:
@@ -247,6 +255,7 @@ def build_inputs(config: RunConfig) -> tuple[Grid, BundleSpec, DemaillyParams]:
         cone_floor=config.cone_floor,
         dt0=config.dt0,
         dt_floor=config.dt_floor,
+        dt_max=config.dt_max,
     )
     return grid, spec, params
 
@@ -409,6 +418,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
         "cone_floor": params.cone_floor,
         "reached_t1": report.reached_t1,
         "breakdown_t": report.breakdown_t,
+        "breakdown_reason": report.breakdown_reason,
         "min_f_overall": report.min_f,
         "steps": step_docs,
     }

@@ -1,9 +1,12 @@
 """March the solution from t=0 to t=1, and the constant-data oracle.
 
-The continuation is a plain predictor-corrector loop: the predictor is the
-previous accepted state, the corrector is the damped Newton solve at the new
-t.  Failed steps halve the t-increment down to a floor; hitting the floor is
-a recorded breakdown, not an error, because losing the cone before t=1 is a
+The continuation is a predictor-corrector loop with an adaptive step: the
+predictor is the previous accepted state, the corrector is the damped Newton
+solve at the new t.  A step whose Newton solve was fast (at most
+_FAST_ITERS iterations) and which did not follow a rejection doubles the
+t-increment, up to params.dt_max; a rejected step halves the increment it
+actually tried, down to params.dt_floor.  A rejection at the floor is a
+recorded breakdown, not an error, because losing the cone before t=1 is a
 meaningful outcome (it is the expected behaviour for non-ample data).
 
 For wiggle-free specs the whole t-family is known in closed form, which is
@@ -45,6 +48,19 @@ from .solvers import (
 
 logger = logging.getLogger(__name__)
 
+# Step control: an accepted step whose Newton solve took at most _FAST_ITERS
+# iterations multiplies the t-increment by _GROW_FACTOR.
+_GROW_FACTOR = 2.0
+_FAST_ITERS = 3
+
+# Rejection class of each exception a corrector attempt may raise.
+_REJECT_REASON = {
+    ConeViolationError: "cone",
+    NoDescentError: "no_descent",
+    MaxIterationsError: "max_iters",
+    HelmholtzError: "helmholtz",
+}
+
 
 @dataclass
 class MarchStep:
@@ -59,11 +75,17 @@ class MarchStep:
 
 @dataclass
 class MarchReport:
-    """Everything the march produced, breakdown time included."""
+    """Everything the march produced, breakdown time and reason included.
+
+    ``breakdown_reason`` is the rejection class of the failed attempt at the
+    floor step (``cone``, ``max_iters``, ``no_descent``, ``diagnostics`` or
+    ``helmholtz``), or None when the march reached t=1.
+    """
 
     steps: list[MarchStep]
     breakdown_t: float | None
     params: DemaillyParams
+    breakdown_reason: str | None = None
 
     @property
     def accepted_ts(self) -> list[float]:
@@ -119,14 +141,18 @@ def closed_form_state(
 
 
 def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
-    """Predictor-corrector continuation from t=0 toward t=1.
+    """Adaptive predictor-corrector continuation from t=0 toward t=1.
 
-    Starts from the exact t=0 construction, advances t by params.dt0,
-    correcting with Newton from the previous state; on failure the increment
-    halves down to params.dt_floor, and when a step at the floor fails the
-    march stops, recording the last accepted t as the breakdown time.  Every
-    accepted state passed Newton at tolerance and the full diagnostics
-    battery.
+    Starts from the exact t=0 construction and tries t + dt (clamped to 1)
+    with dt = params.dt0, correcting with Newton from the previous accepted
+    state.  An accepted step whose Newton solve took at most _FAST_ITERS
+    iterations, and whose previous attempt was not rejected, doubles dt up
+    to params.dt_max.  A rejected attempt sets dt to half the step it tried,
+    but not below params.dt_floor; when an attempt at the floor fails the
+    march stops, recording the last accepted t as the breakdown time and the
+    attempt's rejection class as the breakdown reason.  With dt_max = dt0
+    the increment never grows.  Every accepted state passed Newton at
+    tolerance and the full diagnostics battery.
     """
     curv = build_curvature(spec, grid)
     t0_state, params = solve_t0(curv, params)
@@ -141,20 +167,24 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
 
     t = 0.0
     dt = params.dt0
-    breakdown = None
+    after_rejection = False
+    breakdown = reason = None
     clock = time.perf_counter()
     while t < 1.0:
+        step = min(dt, 1.0 - t)
         t_try = min(t + dt, 1.0)
-        outcome = None
+        reason = None
         try:
             cand, report = newton_at_t(state, t_try, curv, params)
             diag = run_diagnostics(cand, curv, params)
-            if report.converged and diag.passed:
-                outcome = (cand, report, diag)
-        except (ConeViolationError, NoDescentError, MaxIterationsError, HelmholtzError) as exc:
-            logger.debug("step to t=%.6f rejected: %s", t_try, exc)
-        if outcome is not None:
-            cand, report, diag = outcome
+            if not report.converged:
+                reason = "max_iters"
+            elif not diag.passed:
+                reason = "diagnostics"
+        except tuple(_REJECT_REASON) as exc:
+            reason = _REJECT_REASON[type(exc)]
+            logger.debug("step to t=%.6f rejected (%s): %s", t_try, reason, exc)
+        if reason is None:
             now = time.perf_counter()
             steps.append(MarchStep(t_try, cand, report, diag, now - clock))
             clock = now
@@ -163,10 +193,14 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
                 "accepted t=%.6f residual=%.2e margin=%.3e iters=%d",
                 t, report.final_residual, diag.cone_margin, report.iterations,
             )
+            if report.iterations <= _FAST_ITERS and not after_rejection:
+                dt = min(_GROW_FACTOR * dt, params.dt_max)
+            after_rejection = False
         else:
-            if dt <= params.dt_floor:
+            if step <= params.dt_floor:
                 breakdown = t
-                logger.info("breakdown recorded at t*=%.6f", t)
+                logger.info("breakdown recorded at t*=%.6f (%s)", t, reason)
                 break
-            dt = max(0.5 * dt, params.dt_floor)
-    return MarchReport(steps, breakdown, params)
+            dt = max(0.5 * step, params.dt_floor)
+            after_rejection = True
+    return MarchReport(steps, breakdown, params, reason)

@@ -53,6 +53,7 @@ def test_parse_config_full_document():
         params.mu = 1.0
         march.dt0 = 0.1
         march.dt_floor = 1e-3
+        march.dt_max = 0.4
         tol.newton = 1e-8
         tol.cone_floor = 1e-5
         output.dir = out/run1
@@ -65,6 +66,7 @@ def test_parse_config_full_document():
     assert config.modes == ((1, 1), (2, 0))
     assert config.lam_value == 9.5
     assert config.dt0 == 0.1
+    assert config.dt_max == 0.4
     assert config.seed == 7
 
 
@@ -74,6 +76,7 @@ def test_parse_config_defaults():
     assert config.alpha0 is None
     assert config.preset == "none"
     assert config.newton_tol == 1e-9
+    assert config.dt_max == 1.0
 
 
 @pytest.mark.parametrize(
@@ -91,6 +94,12 @@ def test_parse_config_defaults():
             "bundle.perturbation.preset=cosine\nbundle.perturbation.amplitude=0.1\n",
             "rank >= 2",
         ),
+        (
+            "grid.n=16\nbundle.r=2\nbundle.degrees=1,3\n"
+            "march.dt0=0.1\nmarch.dt_max=0.05\n",
+            "dt_max",
+        ),
+        ("grid.n=16\nbundle.r=2\nbundle.degrees=1,3\nmarch.dt_max=big\n", "dt_max"),
     ],
 )
 def test_parse_config_rejects(text, match):
@@ -165,13 +174,24 @@ def test_run_solve_constant(tmp_path):
     out = tmp_path / "run"
     assert run_solve(config, out) == 0
     summary = (out / "summary.csv").read_text().splitlines()
-    assert len(summary) == 22  # header + 21 accepted states
+    assert len(summary) == 7  # header + 6 accepted states
     assert summary[0].startswith("t,min_f,max_f,cone_margin,newton_iterations,")
     report = json.loads((out / "report.json").read_text())
     assert report["reached_t1"] is True
     assert report["breakdown_t"] is None
-    assert len(report["steps"]) == 21
-    assert len(list((out / "snapshots").glob("*.snap"))) == 21
+    assert report["breakdown_reason"] is None
+    assert len(report["steps"]) == 6
+    assert len(list((out / "snapshots").glob("*.snap"))) == 6
+
+
+def test_run_solve_dt_max_dense_record(tmp_path):
+    config = parse_config(CONSTANT_CONFIG + "march.dt_max = 0.05\n")
+    out = tmp_path / "run"
+    assert run_solve(config, out) == 0
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert len(summary) == 22  # header + 21 accepted states on the 0.05 grid
+    report = json.loads((out / "report.json").read_text())
+    assert report["config"]["dt_max"] == 0.05
 
 
 def test_run_solve_deterministic(tmp_path):
@@ -190,6 +210,7 @@ def test_run_solve_non_ample_breakdown(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["reached_t1"] is False
     assert abs(report["breakdown_t"] - 0.975) <= 0.01
+    assert report["breakdown_reason"] == "cone"
 
 
 def test_main_exit_codes_solve_and_verify(tmp_path, capsys):
@@ -197,7 +218,7 @@ def test_main_exit_codes_solve_and_verify(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
 
-    snap = out / "snapshots" / "state_0010.snap"
+    snap = out / "snapshots" / "state_0003.snap"
     assert main(["verify", "--snapshot", str(snap), "--config", str(config_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
@@ -322,7 +343,7 @@ def test_verify_diagnostics_reproducible_from_snapshot(tmp_path):
     out = tmp_path / "run"
     run_solve(config, out)
     report = json.loads((out / "report.json").read_text())
-    step = report["steps"][7]
+    step = report["steps"][3]
     state, meta = load_snapshot(out / step["snapshot"])
     grid = make_grid(config.n, float(sum(config.degrees)))
     curv = build_curvature(BundleSpec(config.degrees), grid)

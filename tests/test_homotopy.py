@@ -1,8 +1,11 @@
 """Continuation marches and the constant-data closed form."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from demlab import homotopy
 from demlab import (
     BundleSpec,
     DemaillyParams,
@@ -55,8 +58,6 @@ def test_closed_form_frozen_values(grid16, constant_params):
 
 
 def test_closed_form_rejects_wiggles_and_mu(grid16, constant_params):
-    from dataclasses import replace
-
     wiggly = BundleSpec.cosine_pair((1, 3), 0.1)
     with pytest.raises(ValueError, match="wiggle"):
         closed_form_state(wiggly, constant_params, grid16, 0.5)
@@ -71,7 +72,7 @@ def test_march_constant_data_matches_closed_form(grid16):
     report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid16)
     assert report.reached_t1
     assert report.breakdown_t is None
-    assert len(report.steps) == 21  # t = 0, 0.05, ..., 1.0
+    assert len(report.steps) == 6  # t = 0, 0.05, 0.15, 0.35, 0.75, 1.0
     ts = report.accepted_ts
     assert ts[0] == 0.0 and ts[-1] == 1.0
     assert np.all(np.diff(ts) > 0)
@@ -123,6 +124,7 @@ def test_march_non_ample_breakdown(grid16):
     predicted = 0.975
     assert 0.0 < predicted - report.breakdown_t <= 1.1 * report.params.dt_floor
     assert report.breakdown_t == report.steps[-1].t
+    assert report.breakdown_reason == "cone"
     margins = [s.diagnostics.cone_margin for s in report.steps[-5:]]
     assert all(b < a for a, b in zip(margins, margins[1:]))
     assert margins[-1] < 0.01  # margin heading to zero at the breakdown
@@ -134,15 +136,68 @@ def test_march_non_ample_breakdown(grid16):
 
 
 def test_march_readme_case_work_pinned():
-    # The README cosine case at n=32 takes a fixed path: 21 accepted states
-    # and 54 Newton iterations.  Any change to either is a change of
-    # behaviour, not of speed.
+    # The README cosine case at n=32 takes a fixed path: the increment
+    # doubles after every fast step, giving 6 accepted states and 15 Newton
+    # iterations.  Any change to either is a change of behaviour, not of
+    # speed.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
     assert report.reached_t1
+    assert report.breakdown_reason is None
+    assert len(report.steps) == 6
+    assert sum(step.newton.iterations for step in report.steps) == 15
+
+
+def test_march_fixed_step_path_pinned():
+    # dt_max = dt0 keeps the increment from growing: the README case takes
+    # the fixed 0.05 grid (21 states, 54 Newton iterations) and the (-1, 5)
+    # breakdown lands at the fixed-step t*.
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    params = DemaillyParams(lam=8.0, alpha0=10.0, dt_max=0.05)
+    report = march(spec, params, grid)
+    expected = [0.0]
+    while expected[-1] < 1.0:
+        expected.append(min(expected[-1] + 0.05, 1.0))
+    assert report.accepted_ts == expected
     assert len(report.steps) == 21
     assert sum(step.newton.iterations for step in report.steps) == 54
+
+    report = march(BundleSpec((-1, 5)), params, make_grid(16, 4.0))
+    assert report.breakdown_t == pytest.approx(0.9749046875, abs=1e-12)
+    assert report.breakdown_reason == "cone"
+
+
+def test_march_dt_max_below_dt0_rejected():
+    with pytest.raises(ValueError, match="dt_max"):
+        DemaillyParams(lam=8.0, dt0=0.1, dt_max=0.05)
+
+
+# The corners of the stress grid amplitude [0.2, 2] x lambda [2.5, 40] x
+# alpha0 [2, 100].
+@pytest.mark.parametrize("amplitude", [0.2, 2.0])
+@pytest.mark.parametrize("lam", [2.5, 40.0])
+@pytest.mark.parametrize("alpha0", [2.0, 100.0])
+def test_march_stress_corners_match_fixed_step(monkeypatch, amplitude, lam, alpha0):
+    tried = []
+    real = homotopy.newton_at_t
+
+    def counted(initial, t, curv, params):
+        tried.append(t)
+        return real(initial, t, curv, params)
+
+    monkeypatch.setattr(homotopy, "newton_at_t", counted)
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), amplitude)
+    params = DemaillyParams(lam=lam, alpha0=alpha0)
+    report = march(spec, params, grid)
+    assert report.reached_t1
+    assert len(report.steps) == 6
+    assert tried == report.accepted_ts  # no rejected attempt
+    fixed = march(spec, replace(params, dt_max=params.dt0), grid)
+    assert fixed.reached_t1
+    assert state_distance(report.final_state, fixed.final_state) <= 1e-7
 
 
 def test_march_records_wall_clock(grid16):
