@@ -73,7 +73,6 @@ class RunConfig:
     mu: float = 1.0
     dt0: float = 0.05
     dt_floor: float = 1e-4
-    dt_max: float = 1.0
     newton_tol: float = 1e-9
     cone_floor: float | None = None
     out_dir: str | None = None
@@ -106,10 +105,6 @@ class RunConfig:
             raise ConfigError("cosine perturbations need rank >= 2")
         if self.dt0 <= 0 or self.dt_floor <= 0:
             raise ConfigError("march.dt0 and march.dt_floor must be positive")
-        if self.dt_max < self.dt0:
-            raise ConfigError(
-                f"march.dt_max ({self.dt_max}) must be at least march.dt0 ({self.dt0})"
-            )
         if self.newton_tol <= 0:
             raise ConfigError("tol.newton must be positive")
         if self.cone_floor is not None and self.cone_floor <= 0:
@@ -180,7 +175,6 @@ def parse_config(text: str) -> RunConfig:
         "params.mu",
         "march.dt0",
         "march.dt_floor",
-        "march.dt_max",
         "tol.newton",
         "tol.cone_floor",
         "output.dir",
@@ -218,8 +212,6 @@ def parse_config(text: str) -> RunConfig:
         config.dt0 = _parse_float("march.dt0", entries["march.dt0"])
     if "march.dt_floor" in entries:
         config.dt_floor = _parse_float("march.dt_floor", entries["march.dt_floor"])
-    if "march.dt_max" in entries:
-        config.dt_max = _parse_float("march.dt_max", entries["march.dt_max"])
     if "tol.newton" in entries:
         config.newton_tol = _parse_float("tol.newton", entries["tol.newton"])
     if "tol.cone_floor" in entries:
@@ -255,7 +247,6 @@ def build_inputs(config: RunConfig) -> tuple[Grid, BundleSpec, DemaillyParams]:
         cone_floor=config.cone_floor,
         dt0=config.dt0,
         dt_floor=config.dt_floor,
-        dt_max=config.dt_max,
     )
     return grid, spec, params
 

@@ -4,8 +4,8 @@ The continuation is a predictor-corrector loop with an adaptive step: the
 predictor is the previous accepted state, the corrector is the damped Newton
 solve at the new t.  A step whose Newton solve was fast (at most
 _FAST_ITERS iterations) and which did not follow a rejection doubles the
-t-increment, up to params.dt_max; a rejected step halves the increment it
-actually tried, down to params.dt_floor.  A rejection at the floor is a
+t-increment, up to the length 1 of the t-range; a rejected step halves the
+increment it actually tried, down to params.dt_floor.  A rejection at the floor is a
 recorded breakdown, not an error, because losing the cone before t=1 is a
 meaningful outcome (it is the expected behaviour for non-ample data).
 
@@ -147,12 +147,11 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     with dt = params.dt0, correcting with Newton from the previous accepted
     state.  An accepted step whose Newton solve took at most _FAST_ITERS
     iterations, and whose previous attempt was not rejected, doubles dt up
-    to params.dt_max.  A rejected attempt sets dt to half the step it tried,
-    but not below params.dt_floor; when an attempt at the floor fails the
+    to 1.  A rejected attempt sets dt to half the step it tried, but not
+    below params.dt_floor; when an attempt at the floor fails the
     march stops, recording the last accepted t as the breakdown time and the
-    attempt's rejection class as the breakdown reason.  With dt_max = dt0
-    the increment never grows.  Every accepted state passed Newton at
-    tolerance and the full diagnostics battery.
+    attempt's rejection class as the breakdown reason.  Every accepted
+    state passed Newton at tolerance and the full diagnostics battery.
     """
     curv = build_curvature(spec, grid)
     t0_state, params = solve_t0(curv, params)
@@ -177,9 +176,7 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
         try:
             cand, report = newton_at_t(state, t_try, curv, params)
             diag = run_diagnostics(cand, curv, params)
-            if not report.converged:
-                reason = "max_iters"
-            elif not diag.passed:
+            if not diag.passed:
                 reason = "diagnostics"
         except tuple(_REJECT_REASON) as exc:
             reason = _REJECT_REASON[type(exc)]
@@ -194,7 +191,7 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
                 t, report.final_residual, diag.cone_margin, report.iterations,
             )
             if report.iterations <= _FAST_ITERS and not after_rejection:
-                dt = min(_GROW_FACTOR * dt, params.dt_max)
+                dt = min(_GROW_FACTOR * dt, 1.0)
             after_rejection = False
         else:
             if step <= params.dt_floor:

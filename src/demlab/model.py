@@ -185,9 +185,7 @@ class DemaillyParams:
     ``cone_floor`` defaults to the scale-aware value 1e-6 * (1 + alpha0).
     ``mu`` is fixed to 1 in the standard system; overriding it is an
     experimental knob that twists the zeroth-order coupling e^(mu f) u_i in
-    the trace-free equations.  ``dt0``, ``dt_floor`` and ``dt_max`` are the
-    march's first, smallest and largest t-increments; ``dt_max = dt0`` keeps
-    the increment from growing, for a dense record of the path.
+    the trace-free equations.
     """
 
     lam: float
@@ -199,7 +197,6 @@ class DemaillyParams:
     max_iters: int = 50
     dt0: float = 0.05
     dt_floor: float = 1e-4
-    dt_max: float = 1.0
 
     def __post_init__(self):
         if not np.isfinite(self.lam) or self.lam <= 0:
@@ -208,8 +205,6 @@ class DemaillyParams:
             raise ValueError("newton_tol must be positive and max_iters >= 1")
         if self.dt0 <= 0 or self.dt_floor <= 0:
             raise ValueError("t-step controls must be positive")
-        if self.dt_max < self.dt0:
-            raise ValueError(f"dt_max {self.dt_max} is below dt0 {self.dt0}")
         if self.cone_floor is not None and self.cone_floor <= 0:
             raise ValueError("cone_floor must be positive when given")
         if self.a0 is not None and np.min(self.a0) <= 0:

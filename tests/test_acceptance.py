@@ -34,6 +34,7 @@ from demlab import (
     spectral_resample,
     state_distance,
 )
+from demlab import homotopy
 from demlab.cli import main as cli_main
 
 # Independently recomputed constant-branch values for degrees (1, 3),
@@ -65,17 +66,33 @@ def cosine_march_64():
     return grid, spec, report
 
 
-def test_criterion_01_closed_form_reproduction(constant_march_64):
+@pytest.fixture(scope="session")
+def fixed_step_marches_64():
+    # The adaptive step skips most of [0, 1]; with growth switched off the
+    # constant and cosine marches also visit every state of the 0.05 grid,
+    # which criteria 1, 3, 4 and 5 check as well.
+    grid = make_grid(64, 4.0)
+    params = DemaillyParams(lam=8.0, alpha0=10.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homotopy, "_GROW_FACTOR", 1.0)
+        constant = march(BundleSpec((1, 3)), params, grid)
+        cosine = march(BundleSpec.cosine_pair((1, 3), 0.2), params, grid)
+    return constant, cosine
+
+
+def test_criterion_01_closed_form_reproduction(constant_march_64, fixed_step_marches_64):
     grid, spec, report, elapsed = constant_march_64
+    fixed = fixed_step_marches_64[0]
     worst = max(
         state_distance(s.state, closed_form_state(spec, report.params, grid, s.t))
-        for s in report.steps
+        for s in report.steps + fixed.steps
     )
     final = report.final_state
     f1 = float(final.f[0, 0])
     u1 = float(final.u[0, 0, 0])
     ok = (
         report.reached_t1
+        and len(fixed.steps) == 21
         and worst <= 1e-8
         and abs(f1 - F_ONE) <= 1e-8
         and abs(u1 - U1_ONE) <= 1e-8
@@ -84,7 +101,8 @@ def test_criterion_01_closed_form_reproduction(constant_march_64):
     _report(
         1,
         ok,
-        f"march reached t=1 in {elapsed:.1f}s, worst closed-form gap {worst:.2e}, "
+        f"march reached t=1 in {elapsed:.1f}s, worst closed-form gap {worst:.2e} "
+        f"over {len(report.steps)} + {len(fixed.steps)} fixed-step states, "
         f"f(1)={f1:.5f}, u1(1)={u1:.5f}",
     )
 
@@ -111,27 +129,29 @@ def test_criterion_02_t0_exactness_and_uniqueness():
     _report(2, ok, "; ".join(details))
 
 
-def test_criterion_03_integral_identity(cosine_march_64):
+def test_criterion_03_integral_identity(cosine_march_64, fixed_step_marches_64):
     _, _, report = cosine_march_64
-    worst = max(max(s.diagnostics.identity_errors) for s in report.steps)
-    ok = report.reached_t1 and worst <= 1e-6
+    fixed = fixed_step_marches_64[1]
+    worst = max(max(s.diagnostics.identity_errors) for s in report.steps + fixed.steps)
+    ok = report.reached_t1 and fixed.reached_t1 and len(fixed.steps) == 21 and worst <= 1e-6
     _report(3, ok, f"perturbed march worst identity error {worst:.2e} (<= 1e-6)")
 
 
-def test_criterion_04_trace_constraint(constant_march_64, cosine_march_64):
+def test_criterion_04_trace_constraint(constant_march_64, cosine_march_64, fixed_step_marches_64):
     worst = 0.0
-    for report in (constant_march_64[2], cosine_march_64[2]):
+    for report in (constant_march_64[2], cosine_march_64[2], *fixed_step_marches_64):
         worst = max(worst, max(s.diagnostics.trace_sup for s in report.steps))
     _report(4, worst <= 1e-10, f"worst |sum u_i| over accepted states {worst:.2e}")
 
 
-def test_criterion_05_uy_inequality(constant_march_64, cosine_march_64):
+def test_criterion_05_uy_inequality(constant_march_64, cosine_march_64, fixed_step_marches_64):
     worst_rel = -np.inf
-    for report in (constant_march_64[2], cosine_march_64[2]):
+    for report in (constant_march_64[2], cosine_march_64[2], *fixed_step_marches_64):
         for s in report.steps:
             worst_rel = max(worst_rel, s.diagnostics.uy_violation / s.diagnostics.uy_tol)
     constant_eq = max(
-        abs(s.diagnostics.uy_violation) for s in constant_march_64[2].steps
+        abs(s.diagnostics.uy_violation)
+        for s in constant_march_64[2].steps + fixed_step_marches_64[0].steps
     )
     ok = worst_rel <= 1.0 and constant_eq <= 1e-10
     _report(

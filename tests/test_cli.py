@@ -53,7 +53,6 @@ def test_parse_config_full_document():
         params.mu = 1.0
         march.dt0 = 0.1
         march.dt_floor = 1e-3
-        march.dt_max = 0.4
         tol.newton = 1e-8
         tol.cone_floor = 1e-5
         output.dir = out/run1
@@ -66,7 +65,6 @@ def test_parse_config_full_document():
     assert config.modes == ((1, 1), (2, 0))
     assert config.lam_value == 9.5
     assert config.dt0 == 0.1
-    assert config.dt_max == 0.4
     assert config.seed == 7
 
 
@@ -76,7 +74,17 @@ def test_parse_config_defaults():
     assert config.alpha0 is None
     assert config.preset == "none"
     assert config.newton_tol == 1e-9
-    assert config.dt_max == 1.0
+
+
+def test_parse_config_dt0_past_t_range(tmp_path):
+    # A first increment longer than [0, 1] is clamped to it: the run tries
+    # t=1 straight from the t=0 state.
+    config = parse_config(CONSTANT_CONFIG + "march.dt0 = 2\n")
+    assert config.dt0 == 2.0
+    out = tmp_path / "run"
+    assert run_solve(config, out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert [step["t"] for step in report["steps"]] == [0.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -94,12 +102,6 @@ def test_parse_config_defaults():
             "bundle.perturbation.preset=cosine\nbundle.perturbation.amplitude=0.1\n",
             "rank >= 2",
         ),
-        (
-            "grid.n=16\nbundle.r=2\nbundle.degrees=1,3\n"
-            "march.dt0=0.1\nmarch.dt_max=0.05\n",
-            "dt_max",
-        ),
-        ("grid.n=16\nbundle.r=2\nbundle.degrees=1,3\nmarch.dt_max=big\n", "dt_max"),
     ],
 )
 def test_parse_config_rejects(text, match):
@@ -182,16 +184,6 @@ def test_run_solve_constant(tmp_path):
     assert report["breakdown_reason"] is None
     assert len(report["steps"]) == 6
     assert len(list((out / "snapshots").glob("*.snap"))) == 6
-
-
-def test_run_solve_dt_max_dense_record(tmp_path):
-    config = parse_config(CONSTANT_CONFIG + "march.dt_max = 0.05\n")
-    out = tmp_path / "run"
-    assert run_solve(config, out) == 0
-    summary = (out / "summary.csv").read_text().splitlines()
-    assert len(summary) == 22  # header + 21 accepted states on the 0.05 grid
-    report = json.loads((out / "report.json").read_text())
-    assert report["config"]["dt_max"] == 0.05
 
 
 def test_run_solve_deterministic(tmp_path):

@@ -149,13 +149,14 @@ def test_march_readme_case_work_pinned():
     assert sum(step.newton.iterations for step in report.steps) == 15
 
 
-def test_march_fixed_step_path_pinned():
-    # dt_max = dt0 keeps the increment from growing: the README case takes
-    # the fixed 0.05 grid (21 states, 54 Newton iterations) and the (-1, 5)
-    # breakdown lands at the fixed-step t*.
+def test_march_fixed_step_path_pinned(monkeypatch):
+    # With growth switched off the README case takes the fixed 0.05 grid
+    # (21 states, 54 Newton iterations) and the (-1, 5) breakdown lands at
+    # the fixed-step t*.
+    monkeypatch.setattr(homotopy, "_GROW_FACTOR", 1.0)
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
-    params = DemaillyParams(lam=8.0, alpha0=10.0, dt_max=0.05)
+    params = DemaillyParams(lam=8.0, alpha0=10.0)
     report = march(spec, params, grid)
     expected = [0.0]
     while expected[-1] < 1.0:
@@ -167,11 +168,6 @@ def test_march_fixed_step_path_pinned():
     report = march(BundleSpec((-1, 5)), params, make_grid(16, 4.0))
     assert report.breakdown_t == pytest.approx(0.9749046875, abs=1e-12)
     assert report.breakdown_reason == "cone"
-
-
-def test_march_dt_max_below_dt0_rejected():
-    with pytest.raises(ValueError, match="dt_max"):
-        DemaillyParams(lam=8.0, dt0=0.1, dt_max=0.05)
 
 
 # The corners of the stress grid amplitude [0.2, 2] x lambda [2.5, 40] x
@@ -195,7 +191,8 @@ def test_march_stress_corners_match_fixed_step(monkeypatch, amplitude, lam, alph
     assert report.reached_t1
     assert len(report.steps) == 6
     assert tried == report.accepted_ts  # no rejected attempt
-    fixed = march(spec, replace(params, dt_max=params.dt0), grid)
+    monkeypatch.setattr(homotopy, "_GROW_FACTOR", 1.0)
+    fixed = march(spec, params, grid)
     assert fixed.reached_t1
     assert state_distance(report.final_state, fixed.final_state) <= 1e-7
 
