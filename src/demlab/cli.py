@@ -70,13 +70,11 @@ class RunConfig:
     modes: tuple[tuple[int, int], ...] = ((1, 1),)
     lam: float | None = None
     alpha0: float | None = None
-    mu: float = 1.0
     dt0: float = 0.05
     dt_floor: float = 1e-4
     newton_tol: float = 1e-9
     cone_floor: float | None = None
     out_dir: str | None = None
-    seed: int = 0
 
     @property
     def lam_value(self) -> float:
@@ -85,30 +83,25 @@ class RunConfig:
         return self.lam if self.lam is not None else 2.0 * self.rank + 4.0
 
     def validate(self) -> None:
-        if self.rank < 1:
-            raise ConfigError("bundle.r must be at least 1")
+        """Reject inconsistent configs; ranges are checked by the constructors."""
         if len(self.degrees) != self.rank:
             raise ConfigError(
                 f"bundle.degrees has {len(self.degrees)} entries, expected bundle.r = {self.rank}"
             )
-        if sum(self.degrees) <= 0:
-            raise ConfigError("total degree must be positive")
-        if self.n < 8 or (self.n & (self.n - 1)) != 0:
-            raise ConfigError("grid.n must be a power of two >= 8")
         if self.lam_value <= self.rank:
             raise ConfigError(
                 f"params.lambda must exceed the rank ({self.lam_value} <= {self.rank})"
             )
         if self.preset not in ("none", "cosine"):
             raise ConfigError(f"unknown perturbation preset {self.preset!r}")
-        if self.preset == "cosine" and self.amplitude != 0.0 and self.rank < 2:
-            raise ConfigError("cosine perturbations need rank >= 2")
-        if self.dt0 <= 0 or self.dt_floor <= 0:
-            raise ConfigError("march.dt0 and march.dt_floor must be positive")
-        if self.newton_tol <= 0:
-            raise ConfigError("tol.newton must be positive")
-        if self.cone_floor is not None and self.cone_floor <= 0:
-            raise ConfigError("tol.cone_floor must be positive when given")
+        try:
+            build_inputs(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+
+
+def _parse_str(key, raw):
+    return raw
 
 
 def _parse_int(key, raw):
@@ -147,6 +140,25 @@ def _parse_modes(key, raw):
     return tuple(pairs)
 
 
+# Every config key: the RunConfig field it sets and the parser of its value.
+# Keys left out of a document keep the field's default.
+CONFIG_KEYS = {
+    "grid.n": ("n", _parse_int),
+    "bundle.r": ("rank", _parse_int),
+    "bundle.degrees": ("degrees", _parse_int_list),
+    "bundle.perturbation.preset": ("preset", _parse_str),
+    "bundle.perturbation.amplitude": ("amplitude", _parse_float),
+    "bundle.perturbation.modes": ("modes", _parse_modes),
+    "params.lambda": ("lam", _parse_float),
+    "params.alpha0": ("alpha0", _parse_float),
+    "march.dt0": ("dt0", _parse_float),
+    "march.dt_floor": ("dt_floor", _parse_float),
+    "tol.newton": ("newton_tol", _parse_float),
+    "tol.cone_floor": ("cone_floor", _parse_float),
+    "output.dir": ("out_dir", _parse_str),
+}
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse a flat key=value document into a validated RunConfig."""
     entries: dict[str, str] = {}
@@ -163,24 +175,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = value
 
-    known = {
-        "grid.n",
-        "bundle.r",
-        "bundle.degrees",
-        "bundle.perturbation.preset",
-        "bundle.perturbation.amplitude",
-        "bundle.perturbation.modes",
-        "params.lambda",
-        "params.alpha0",
-        "params.mu",
-        "march.dt0",
-        "march.dt_floor",
-        "tol.newton",
-        "tol.cone_floor",
-        "output.dir",
-        "seed",
-    }
-    unknown = sorted(set(entries) - known)
+    unknown = sorted(set(entries) - set(CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for required in ("grid.n", "bundle.r", "bundle.degrees"):
@@ -188,38 +183,12 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"missing required key {required!r}")
 
     config = RunConfig(
-        n=_parse_int("grid.n", entries["grid.n"]),
-        rank=_parse_int("bundle.r", entries["bundle.r"]),
-        degrees=_parse_int_list("bundle.degrees", entries["bundle.degrees"]),
+        **{
+            field: parse(key, entries[key])
+            for key, (field, parse) in CONFIG_KEYS.items()
+            if key in entries
+        }
     )
-    if "bundle.perturbation.preset" in entries:
-        config.preset = entries["bundle.perturbation.preset"]
-    if "bundle.perturbation.amplitude" in entries:
-        config.amplitude = _parse_float(
-            "bundle.perturbation.amplitude", entries["bundle.perturbation.amplitude"]
-        )
-    if "bundle.perturbation.modes" in entries:
-        config.modes = _parse_modes(
-            "bundle.perturbation.modes", entries["bundle.perturbation.modes"]
-        )
-    if "params.lambda" in entries:
-        config.lam = _parse_float("params.lambda", entries["params.lambda"])
-    if "params.alpha0" in entries:
-        config.alpha0 = _parse_float("params.alpha0", entries["params.alpha0"])
-    if "params.mu" in entries:
-        config.mu = _parse_float("params.mu", entries["params.mu"])
-    if "march.dt0" in entries:
-        config.dt0 = _parse_float("march.dt0", entries["march.dt0"])
-    if "march.dt_floor" in entries:
-        config.dt_floor = _parse_float("march.dt_floor", entries["march.dt_floor"])
-    if "tol.newton" in entries:
-        config.newton_tol = _parse_float("tol.newton", entries["tol.newton"])
-    if "tol.cone_floor" in entries:
-        config.cone_floor = _parse_float("tol.cone_floor", entries["tol.cone_floor"])
-    if "output.dir" in entries:
-        config.out_dir = entries["output.dir"]
-    if "seed" in entries:
-        config.seed = _parse_int("seed", entries["seed"])
     config.validate()
     return config
 
@@ -234,15 +203,14 @@ def load_config(path) -> RunConfig:
 
 def build_inputs(config: RunConfig) -> tuple[Grid, BundleSpec, DemaillyParams]:
     """Realize the grid, bundle spec, and parameter block of a config."""
-    grid = make_grid(config.n, float(sum(config.degrees)))
     if config.preset == "cosine" and config.amplitude != 0.0:
         spec = BundleSpec.cosine_pair(config.degrees, config.amplitude, config.modes)
     else:
         spec = BundleSpec(config.degrees)
+    grid = make_grid(config.n, float(sum(config.degrees)))
     params = DemaillyParams(
         lam=config.lam_value,
         alpha0=config.alpha0,
-        mu=config.mu,
         newton_tol=config.newton_tol,
         cone_floor=config.cone_floor,
         dt0=config.dt0,
@@ -468,37 +436,34 @@ def run_verify(snapshot_path, config: RunConfig) -> int:
     return 0 if not failures else 3
 
 
+# Sweep axis -> the config key it varies; degree tuples are separated by ';'.
+SWEEP_AXES = {
+    "alpha0": "params.alpha0",
+    "lambda": "params.lambda",
+    "n": "grid.n",
+    "degrees": "bundle.degrees",
+}
+
+
 def _parse_axis_values(axis: str, raw: str):
-    if axis in ("alpha0", "lambda"):
-        values = [float(v) for v in raw.split(",") if v.strip()]
-    elif axis == "n":
-        values = [int(v) for v in raw.split(",") if v.strip()]
-    elif axis == "degrees":
-        values = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if chunk:
-                values.append(tuple(int(v) for v in chunk.split(",")))
-    else:
+    if axis not in SWEEP_AXES:
         raise ConfigError(
-            f"sweep axis must be one of alpha0, lambda, n, degrees; got {axis!r}"
+            f"sweep axis must be one of {', '.join(SWEEP_AXES)}; got {axis!r}"
         )
+    key = SWEEP_AXES[axis]
+    parse = CONFIG_KEYS[key][1]
+    sep = ";" if axis == "degrees" else ","
+    values = [parse(key, chunk) for chunk in raw.split(sep) if chunk.strip()]
     if not values:
         raise ConfigError("sweep needs a nonempty value list")
     return values
 
 
 def _apply_axis(config: RunConfig, axis: str, value) -> RunConfig:
-    cfg = dataclasses.replace(config)
-    if axis == "alpha0":
-        cfg.alpha0 = float(value)
-    elif axis == "lambda":
-        cfg.lam = float(value)
-    elif axis == "n":
-        cfg.n = int(value)
-    elif axis == "degrees":
-        cfg.degrees = tuple(int(v) for v in value)
-        cfg.rank = len(cfg.degrees)
+    changes = {CONFIG_KEYS[SWEEP_AXES[axis]][0]: value}
+    if axis == "degrees":
+        changes["rank"] = len(value)
+    cfg = dataclasses.replace(config, **changes)
     cfg.validate()
     return cfg
 
@@ -592,7 +557,7 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run one solve per axis value")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--axis", required=True, choices=["alpha0", "lambda", "n", "degrees"])
+    p_sweep.add_argument("--axis", required=True, choices=list(SWEEP_AXES))
     p_sweep.add_argument("--values", required=True)
     p_sweep.add_argument("--out", help="output directory (default: config output.dir)")
 

@@ -32,6 +32,7 @@ from .model import (
     DemaillyParams,
     State,
     cone_margin,
+    cone_shift,
     state_distance,
 )
 from .solvers import (
@@ -50,14 +51,12 @@ ARGMAX_SLACK_TOL = 1e-6
 AMGM_REL_TOL = 1e-8
 
 
-def check_integral_identity(
-    state: State, curv: CurvatureData, mu: float = 1.0
-) -> np.ndarray:
-    """Per-summand error |integral(e^(mu f) u_i omega0) - (deg(E)/r - d_i)|."""
+def check_integral_identity(state: State, curv: CurvatureData) -> np.ndarray:
+    """Per-summand error |integral(e^f u_i omega0) - (deg(E)/r - d_i)|."""
     grid = state.grid
     r = state.rank
     d = float(sum(curv.degrees))
-    weight = np.exp(mu * state.f)
+    weight = np.exp(state.f)
     errors = np.empty(r)
     for i in range(r):
         target = d / r - float(curv.degrees[i])
@@ -65,15 +64,15 @@ def check_integral_identity(
     return errors
 
 
-def check_uy_inequality(state: State, curv: CurvatureData, mu: float = 1.0) -> float:
-    """Max over the grid of e^(mu f)|u|^2 - lap(|u|^2)/2 - |u| |s|.
+def check_uy_inequality(state: State, curv: CurvatureData) -> float:
+    """Max over the grid of e^f |u|^2 - lap(|u|^2)/2 - |u| |s|.
 
     Nonpositive (up to discretization) on solution states; equality holds on
     the constant branch.  The value is reported regardless of sign.
     """
     grid = state.grid
     u_sq = np.sum(state.u**2, axis=0)
-    lhs = np.exp(mu * state.f) * u_sq - 0.5 * grid.laplacian(u_sq)
+    lhs = np.exp(state.f) * u_sq - 0.5 * grid.laplacian(u_sq)
     rhs = np.sqrt(u_sq) * curv.s_pointwise_norm
     return float(np.max(lhs - rhs))
 
@@ -87,17 +86,14 @@ def check_bounds(state: State, params: DemaillyParams) -> dict:
     strictly).
     """
     grid = state.grid
-    r = state.rank
-    lam, alpha0 = params.lam, params.alpha0
+    lam = params.lam
     lap_f = grid.laplacian(state.f)
     idx = np.unravel_index(np.argmax(state.f), state.f.shape)
     f_max = float(state.f[idx])
     slack = float(lap_f[idx])
     slack_scale = 1.0 + grid.sup(lap_f)
     lhs = float(np.exp(lam * f_max) * params.require_a0()[idx])
-    factors = 1.0 / r - np.exp(f_max) * state.u[(slice(None),) + idx] + (
-        1.0 - state.t
-    ) * alpha0
+    factors = cone_shift(f_max, state.u[(slice(None),) + idx], state.t, params.alpha0)
     rhs = float(np.prod(factors))
     return {
         "max_exp_lambda_f": float(np.exp(lam * np.max(state.f))),
@@ -168,8 +164,8 @@ def run_diagnostics(
     state: State, curv: CurvatureData, params: DemaillyParams
 ) -> DiagnosticsRecord:
     """Full battery on one state, with the standard thresholds."""
-    identity = check_integral_identity(state, curv, params.mu)
-    uy = check_uy_inequality(state, curv, params.mu)
+    identity = check_integral_identity(state, curv)
+    uy = check_uy_inequality(state, curv)
     s_sup = float(np.max(curv.s_pointwise_norm))
     uy_tol = UY_BASE_TOL * (1.0 + s_sup**2)
     trace = state.trace_sup()

@@ -110,15 +110,13 @@ def closed_form_state(
 ) -> State:
     """Constant-field solution for wiggle-free data at parameter t.
 
-    Requires every wiggle to vanish and mu = 1; raises when the constant
+    Requires every wiggle to vanish; raises when the constant
     branch leaves the cone (some rho_i + (1-t) alpha0 <= 0, which happens
     before t=1 only for non-ample degrees).  Substituting the result into
     the residuals gives zero identically.
     """
     if not spec.is_constant:
         raise ValueError("closed form requires wiggle-free curvature data")
-    if params.mu != 1.0:
-        raise ValueError("closed form requires mu = 1")
     if params.alpha0 is None:
         raise ValueError("alpha0 not set")
     r = spec.rank

@@ -8,14 +8,14 @@ system at parameter t exactly when both residuals vanish:
 
     R_f = log(prod_i M_i) - lambda * f - log(a0),
           M_i = lap(f) + 1/r - e^f u_i + (1 - t) * alpha0,
-    R_i = lap(u_i) - s_i - e^(mu f) u_i.
+    R_i = lap(u_i) - s_i - e^f u_i.
 
 The M_i are the curvature eigen-quantities shifted by the homotopy term; all
 of them must stay positive (the cone condition) for the determinant equation
 to make sense.  That positivity is checked explicitly, never assumed.
 
 Sign convention: the Laplacian of ``geometry`` is nonpositive at maxima and
-the operator (lap - e^(mu f)) is strictly negative definite, which is what
+the operator (lap - e^f) is strictly negative definite, which is what
 makes the trace-free equations uniquely solvable.
 """
 
@@ -120,7 +120,7 @@ class BundleSpec:
         if amplitude == 0.0:
             return cls(degrees)
         if len(degrees) < 2:
-            raise ValueError("rank-one specs admit no curvature wiggle")
+            raise ValueError("rank-one specs admit no curvature wiggle; need rank >= 2")
         plus = tuple(CosineMode(amplitude, kx, ky) for kx, ky in modes)
         minus = tuple(CosineMode(-amplitude, kx, ky) for kx, ky in modes)
         perts = (plus,) + ((),) * (len(degrees) - 2) + (minus,)
@@ -183,14 +183,10 @@ class DemaillyParams:
 
     ``alpha0`` and ``a0`` start unset and are filled by the t=0 construction;
     ``cone_floor`` defaults to the scale-aware value 1e-6 * (1 + alpha0).
-    ``mu`` is fixed to 1 in the standard system; overriding it is an
-    experimental knob that twists the zeroth-order coupling e^(mu f) u_i in
-    the trace-free equations.
     """
 
     lam: float
     alpha0: float | None = None
-    mu: float = 1.0
     a0: np.ndarray | None = None
     newton_tol: float = 1e-9
     cone_floor: float | None = None
@@ -281,18 +277,21 @@ def state_distance(a: State, b: State) -> float:
     )
 
 
+def cone_shift(f, u, t: float, alpha0: float) -> np.ndarray:
+    """The cone factors without lap(f): 1/r - e^f u_i + (1-t) alpha0.
+
+    ``u`` stacks u_1..u_r on its first axis and ``f`` broadcasts against
+    each u_i, so the shift is taken on whole fields or at a single point.
+    """
+    return 1.0 / len(u) - np.exp(f) * u + (1.0 - t) * alpha0
+
+
 def cone_factors(state: State, params: DemaillyParams) -> np.ndarray:
     """The matrix entries M_i = lap(f) + 1/r - e^f u_i + (1-t) alpha0, shape (r, n, n)."""
     if params.alpha0 is None:
         raise ValueError("alpha0 not set")
-    r = state.rank
     lap_f = state.grid.laplacian(state.f)
-    return (
-        lap_f[None, :, :]
-        + 1.0 / r
-        - np.exp(state.f)[None, :, :] * state.u
-        + (1.0 - state.t) * params.alpha0
-    )
+    return lap_f[None, :, :] + cone_shift(state.f, state.u, state.t, params.alpha0)
 
 
 def cone_margin(state: State, params: DemaillyParams) -> float:
@@ -326,9 +325,8 @@ def residual(
     """
     a0 = params.require_a0()
     m = _admissible_cone_factors(state, params)
-    emu = np.exp(params.mu * state.f)
     r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - np.log(a0)
-    r_u = state.grid.laplacian(state.u) - curv.s - emu[None, :, :] * state.u
+    r_u = state.grid.laplacian(state.u) - curv.s - np.exp(state.f)[None, :, :] * state.u
     return r_f, r_u
 
 
@@ -352,8 +350,6 @@ class Linearization:
     inv_m: np.ndarray  # 1 / M_i
     ef: np.ndarray  # e^f, (n, n)
     ef_u: np.ndarray  # e^f u_i, (r, n, n)
-    emu: np.ndarray  # e^(mu f), (n, n)
-    dmu_u: np.ndarray  # mu e^(mu f) u_i, (r, n, n)
 
 
 def linearize(
@@ -367,7 +363,6 @@ def linearize(
     """
     m = _admissible_cone_factors(state, params)
     ef = np.exp(state.f)
-    emu = np.exp(params.mu * state.f)
     return Linearization(
         grid=state.grid,
         lam=params.lam,
@@ -375,8 +370,6 @@ def linearize(
         inv_m=1.0 / m,
         ef=ef,
         ef_u=ef[None, :, :] * state.u,
-        emu=emu,
-        dmu_u=params.mu * emu[None, :, :] * state.u,
     )
 
 
@@ -386,15 +379,17 @@ def apply_linearization(
     """Exact Frechet derivative of ``residual`` at the frozen state in direction ``p``.
 
     dR_f = sum_i (lap(df) - e^f u_i df - e^f du_i) / M_i - lambda df
-    dR_i = lap(du_i) - mu e^(mu f) u_i df - e^(mu f) du_i
+    dR_i = lap(du_i) - e^f u_i df - e^f du_i
     """
     grid = lin.grid
     df = grid.bind(p.df)
     du = np.asarray(p.du, dtype=float)
     lap = grid.laplacian(np.concatenate([df[None, :, :], du]))
-    dm = lap[:1] - lin.ef_u * df[None, :, :] - lin.ef[None, :, :] * du
+    ef_u_df = lin.ef_u * df[None, :, :]
+    ef_du = lin.ef[None, :, :] * du
+    dm = lap[:1] - ef_u_df - ef_du
     dr_f = np.sum(dm * lin.inv_m, axis=0) - lin.lam * df
-    dr_u = lap[1:] - lin.dmu_u * df[None, :, :] - lin.emu[None, :, :] * du
+    dr_u = lap[1:] - ef_u_df - ef_du
     return dr_f, dr_u
 
 

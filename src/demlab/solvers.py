@@ -35,6 +35,7 @@ from .model import (
     State,
     apply_linearization,
     cone_margin,
+    cone_shift,
     l_inverse,
     linearize,
     residual,
@@ -135,12 +136,12 @@ def solve_t0(
         raise RuntimeError(f"t=0 twist logs fail the trace constraint: {trace:.3e}")
     requested = params.alpha0 if params.alpha0 is not None else 0.0
     alpha0 = max(float(requested), 2.0, 2.0 * float(np.max(np.abs(u0))))
-    a0 = np.prod(1.0 / r + alpha0 - u0, axis=0)
+    state = State(grid, np.zeros((grid.n, grid.n)), u0, 0.0)
+    a0 = np.prod(cone_shift(state.f, u0, 0.0, alpha0), axis=0)
     if float(np.min(a0)) <= 0.0:
         raise RuntimeError("reference density came out nonpositive")
-    floor = params.cone_floor if params.cone_floor is not None else 1e-6 * (1.0 + alpha0)
+    floor = replace(params, alpha0=alpha0).cone_floor_value
     filled = replace(params, alpha0=alpha0, a0=a0, cone_floor=floor)
-    state = State(grid, np.zeros((grid.n, grid.n)), u0, 0.0)
     r_f, r_u = residual(state, curv, filled)
     res = residual_sup(r_f, r_u)
     if res > 1e-10:
@@ -148,16 +149,16 @@ def solve_t0(
     return state, filled
 
 
-def v_step(f: ScalarField, curv: CurvatureData, mu: float = 1.0) -> np.ndarray:
+def v_step(f: ScalarField, curv: CurvatureData) -> np.ndarray:
     """Resolve the trace-free equations at frozen potential.
 
-    Returns the unique twist logs with lap(u_i) = s_i + e^(mu f) u_i, one
+    Returns the unique twist logs with lap(u_i) = s_i + e^f u_i, one
     Helmholtz solve per summand.  Their sum vanishes (to solver tolerance)
     because the s_i sum to zero.
     """
     grid = curv.grid
     f = grid.bind(f)
-    c = np.exp(mu * f)
+    c = np.exp(f)
     return np.stack([solve_helmholtz(grid, c, curv.s[i]) for i in range(curv.rank)])
 
 
@@ -185,11 +186,10 @@ def u_step(
     Raises PathStallError when the s-step falls below 1e-4.
     """
     grid = curv.grid
-    r = curv.rank
     a0 = params.require_a0()
     lam = params.lam
     f_in = grid.bind(f_in)
-    a = 1.0 / r - np.exp(f_in)[None, :, :] * u + (1.0 - t) * params.alpha0
+    a = cone_shift(f_in, u, t, params.alpha0)
     lap_f_in = grid.laplacian(f_in)
 
     def path_residual(cand: np.ndarray, s: float):
@@ -256,7 +256,7 @@ def picard_step(
     A state solves the system at its t exactly when the gap vanishes.
     """
     new_f = u_step(state.f, state.u, state.t, curv, params)
-    new_u = v_step(state.f, curv, params.mu)
+    new_u = v_step(state.f, curv)
     gap = max(
         float(np.max(np.abs(state.f - new_f))),
         float(np.max(np.abs(state.u - new_u))),

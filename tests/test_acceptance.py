@@ -48,12 +48,17 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+# The acceptance marches run with every floating-point warning raised, so an
+# overflow or an invalid operation anywhere on their path fails the suite.
+
+
 @pytest.fixture(scope="session")
 def constant_march_64():
     grid = make_grid(64, 4.0)
     spec = BundleSpec((1, 3))
     start = time.perf_counter()
-    report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    with np.errstate(all="raise"):
+        report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
     elapsed = time.perf_counter() - start
     return grid, spec, report, elapsed
 
@@ -62,8 +67,24 @@ def constant_march_64():
 def cosine_march_64():
     grid = make_grid(64, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
-    report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    with np.errstate(all="raise"):
+        report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
     return grid, spec, report
+
+
+@pytest.mark.parametrize(
+    "spec, lam",
+    [
+        (BundleSpec((-1, 5)), 8.0),
+        (BundleSpec.cosine_pair((1, 2, 3), 0.3, ((1, 1), (2, 0))), 10.0),
+    ],
+    ids=["non-ample", "rank-3"],
+)
+def test_march_strict_numerics(spec, lam):
+    grid = make_grid(64, float(spec.degree_sum))
+    with np.errstate(all="raise"):
+        report = march(spec, DemaillyParams(lam=lam, alpha0=10.0), grid)
+    assert report.reached_t1 == spec.is_ample
 
 
 @pytest.fixture(scope="session")

@@ -4,9 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demlab import BundleSpec, DemaillyParams, build_curvature, make_grid, run_diagnostics, solve_t0
 from demlab.cli import (
+    CONFIG_KEYS,
     ConfigError,
     SnapshotDimensionError,
     SnapshotParseError,
@@ -29,6 +32,9 @@ params.alpha0 = 10
 
 NON_AMPLE_CONFIG = CONSTANT_CONFIG.replace("1,3", "-1,5")
 
+# The required keys alone: the smallest valid document.
+BASE = "grid.n=16\nbundle.r=2\nbundle.degrees=1,3\n"
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -50,13 +56,11 @@ def test_parse_config_full_document():
         bundle.perturbation.modes = 1,1;2,0
         params.lambda = 9.5
         params.alpha0 = 12
-        params.mu = 1.0
         march.dt0 = 0.1
         march.dt_floor = 1e-3
         tol.newton = 1e-8
         tol.cone_floor = 1e-5
         output.dir = out/run1
-        seed = 7
         """
     )
     assert config.n == 32
@@ -65,7 +69,7 @@ def test_parse_config_full_document():
     assert config.modes == ((1, 1), (2, 0))
     assert config.lam_value == 9.5
     assert config.dt0 == 0.1
-    assert config.seed == 7
+    assert config.out_dir == "out/run1"
 
 
 def test_parse_config_defaults():
@@ -102,10 +106,92 @@ def test_parse_config_dt0_past_t_range(tmp_path):
             "bundle.perturbation.preset=cosine\nbundle.perturbation.amplitude=0.1\n",
             "rank >= 2",
         ),
+        (BASE + "bundle.perturbation.preset=wiggle\n", "preset"),
+        (BASE + "march.dt0=0\n", "positive"),
+        (BASE + "march.dt_floor=-1\n", "positive"),
+        (BASE + "tol.newton=0\n", "positive"),
+        (BASE + "tol.cone_floor=0\n", "positive when given"),
+        ("grid.n=abc\nbundle.r=2\nbundle.degrees=1,3\n", "integer"),
+        (BASE + "bundle.perturbation.modes=1\n", "kx,ky"),
+        (BASE + "params.mu=1\n", "unknown"),
+        (BASE + "seed=0\n", "unknown"),
     ],
 )
 def test_parse_config_rejects(text, match):
     with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+_positive = st.floats(1e-12, 1e6)
+
+
+@st.composite
+def _valid_values(draw):
+    """Every config key, mapped to its RunConfig field and one valid value."""
+    degrees = draw(
+        st.lists(st.integers(-5, 9), min_size=2, max_size=4).filter(lambda d: sum(d) > 0)
+    )
+    mode = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda m: m != (0, 0))
+    return {
+        "grid.n": ("n", 2 ** draw(st.integers(3, 8))),
+        "bundle.r": ("rank", len(degrees)),
+        "bundle.degrees": ("degrees", tuple(degrees)),
+        "bundle.perturbation.preset": ("preset", draw(st.sampled_from(["none", "cosine"]))),
+        "bundle.perturbation.amplitude": ("amplitude", draw(st.floats(-2.0, 2.0))),
+        "bundle.perturbation.modes": (
+            "modes",
+            tuple(draw(st.lists(mode, min_size=1, max_size=3))),
+        ),
+        "params.lambda": ("lam", draw(st.floats(len(degrees), 1e3, exclude_min=True))),
+        "params.alpha0": ("alpha0", draw(st.floats(-1e3, 1e3))),
+        "march.dt0": ("dt0", draw(_positive)),
+        "march.dt_floor": ("dt_floor", draw(_positive)),
+        "tol.newton": ("newton_tol", draw(_positive)),
+        "tol.cone_floor": ("cone_floor", draw(_positive)),
+        "output.dir": (
+            "out_dir",
+            draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
+        ),
+    }
+
+
+def _value_text(value) -> str:
+    if isinstance(value, tuple) and isinstance(value[0], tuple):
+        return ";".join(_value_text(v) for v in value)
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)  # str of a float round-trips through float()
+
+
+def _document(keys: list, values: dict) -> str:
+    return "".join(f"{key} = {_value_text(values[key][1])}\n" for key in keys)
+
+
+@settings(deadline=None)
+@given(values=_valid_values(), data=st.data())
+def test_parse_config_table_round_trip(values, data):
+    assert set(values) == set(CONFIG_KEYS)
+    config = parse_config(_document(data.draw(st.permutations(list(values))), values))
+    for key, (field, value) in values.items():
+        assert getattr(config, field) == value, key
+
+
+@settings(deadline=None)
+@given(
+    key=st.text("abcdefghijklmnopqrstuvwxyz._0123456789", min_size=1).filter(
+        lambda k: k not in CONFIG_KEYS
+    )
+)
+def test_parse_config_rejects_any_unknown_key(key):
+    with pytest.raises(ConfigError, match="unknown"):
+        parse_config(BASE + f"{key} = 1\n")
+
+
+@settings(deadline=None)
+@given(values=_valid_values(), key=st.sampled_from(sorted(CONFIG_KEYS)))
+def test_parse_config_rejects_any_repeated_key(values, key):
+    text = _document(list(values) + [key], values)
+    with pytest.raises(ConfigError, match="duplicate"):
         parse_config(text)
 
 

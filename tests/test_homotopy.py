@@ -1,6 +1,5 @@
 """Continuation marches and the constant-data closed form."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,14 +56,10 @@ def test_closed_form_frozen_values(grid16, constant_params):
     assert one.u[0, 0, 0] == pytest.approx(U1_ONE, abs=1e-14)
 
 
-def test_closed_form_rejects_wiggles_and_mu(grid16, constant_params):
+def test_closed_form_rejects_wiggles(grid16, constant_params):
     wiggly = BundleSpec.cosine_pair((1, 3), 0.1)
     with pytest.raises(ValueError, match="wiggle"):
         closed_form_state(wiggly, constant_params, grid16, 0.5)
-    with pytest.raises(ValueError, match="mu"):
-        closed_form_state(
-            BundleSpec((1, 3)), replace(constant_params, mu=1.5), grid16, 0.5
-        )
 
 
 def test_march_constant_data_matches_closed_form(grid16):

@@ -248,12 +248,11 @@ def test_linearization_at_t0_constant_data(grid16):
 
 
 def _unfrozen_linearization(state, params, p):
-    # Reference derivative that recomputes e^f, e^(mu f), lap f and M_i from
-    # the state on every application instead of freezing them.
+    # Reference derivative that recomputes e^f, lap f and M_i from the state
+    # on every application instead of freezing them.
     grid = state.grid
     r = state.rank
     ef = np.exp(state.f)
-    emu = ef if params.mu == 1.0 else np.exp(params.mu * state.f)
     m = grid.laplacian(state.f)[None, :, :] + 1.0 / r - ef[None, :, :] * state.u + (
         1.0 - state.t
     ) * params.alpha0
@@ -264,24 +263,20 @@ def _unfrozen_linearization(state, params, p):
     dr_f = np.sum(dm / m, axis=0) - params.lam * p.df
     dr_u = (
         grid.laplacian(p.du)
-        - params.mu * (emu * p.df)[None, :, :] * state.u
-        - emu[None, :, :] * p.du
+        - (ef * p.df)[None, :, :] * state.u
+        - ef[None, :, :] * p.du
     )
     return dr_f, dr_u
 
 
 @pytest.mark.parametrize("degrees", [(4,), (1, 3), (1, 2, 3)])
-@pytest.mark.parametrize("mu", [1.0, 0.5])
-def test_frozen_linearization_matches_unfrozen_formula(degrees, mu):
-    from dataclasses import replace
-
+def test_frozen_linearization_matches_unfrozen_formula(degrees):
     spec = BundleSpec(degrees)
     grid = make_grid(32, float(sum(degrees)))
     curv = build_curvature(spec, grid)
-    _, base = solve_t0(curv, DemaillyParams(lam=10.0, alpha0=10.0))
-    params = replace(base, mu=mu)
+    _, params = solve_t0(curv, DemaillyParams(lam=10.0, alpha0=10.0))
     rng = np.random.default_rng(71 + len(degrees))
-    state = _admissible_state(grid, spec, curv, base, rng)
+    state = _admissible_state(grid, spec, curv, params, rng)
     lin = linearize(state, curv, params)
     # One frozen linearization serves every direction.
     for _ in range(3):
@@ -332,38 +327,6 @@ def test_residual_permutation_equivariance():
     r_f_p, r_u_p = residual(state_p, curv_p, params_p)
     assert np.max(np.abs(r_f - r_f_p)) < 1e-12
     assert np.max(np.abs(r_u[perm] - r_u_p)) < 1e-12
-
-
-def test_mu_override_wiring(grid16):
-    # Experimental knob: e^(mu f) replaces e^f in the trace-free rows only.
-    from dataclasses import replace
-
-    curv = build_curvature(BundleSpec((1, 3)), grid16)
-    _, base_params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
-    rng = np.random.default_rng(61)
-    spec = BundleSpec((1, 3))
-    state = _admissible_state(grid16, spec, curv, base_params, rng)
-    params = replace(base_params, mu=0.5)
-    r_f, r_u = residual(state, curv, params)
-    emu = np.exp(0.5 * state.f)
-    expected_u = grid16.laplacian(state.u) - curv.s - emu[None] * state.u
-    assert np.max(np.abs(r_u - expected_u)) < 1e-12
-    # The determinant rows keep e^f, so R_f is unchanged by mu.
-    r_f_std, _ = residual(state, curv, replace(params, mu=1.0))
-    assert np.max(np.abs(r_f - r_f_std)) == 0.0
-    # Derivative stays consistent under the override.
-    p = _random_direction(grid16, 2, rng)
-    dr_f, dr_u = apply_linearization(linearize(state, curv, params), p)
-    eps = 1e-5
-    plus = State(grid16, state.f + eps * p.df, state.u + eps * p.du, state.t)
-    minus = State(grid16, state.f - eps * p.df, state.u - eps * p.du, state.t)
-    rf_p, ru_p = residual(plus, curv, params)
-    rf_m, ru_m = residual(minus, curv, params)
-    fd_f = (rf_p - rf_m) / (2 * eps)
-    fd_u = (ru_p - ru_m) / (2 * eps)
-    scale = max(np.max(np.abs(fd_f)), np.max(np.abs(fd_u)))
-    err = max(np.max(np.abs(dr_f - fd_f)), np.max(np.abs(dr_u - fd_u)))
-    assert err / scale <= 1e-6
 
 
 def test_perturbation_rejects_nonzero_trace():
