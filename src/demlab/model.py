@@ -177,6 +177,11 @@ def build_curvature(spec: BundleSpec, grid: Grid) -> CurvatureData:
     return CurvatureData(grid, spec.degrees, rho, s)
 
 
+def _positive_real(x) -> bool:
+    """True for a finite x > 0; NaN and infinities fail."""
+    return bool(np.isfinite(x)) and x > 0
+
+
 @dataclass(frozen=True, eq=False)
 class DemaillyParams:
     """Exponents, homotopy offset, reference density, and solver tolerances.
@@ -195,13 +200,15 @@ class DemaillyParams:
     dt_floor: float = 1e-4
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam <= 0:
+        if not _positive_real(self.lam):
             raise ValueError(f"lambda must be a positive real, got {self.lam}")
-        if self.newton_tol <= 0 or self.max_iters < 1:
+        if self.alpha0 is not None and not np.isfinite(self.alpha0):
+            raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
+        if not _positive_real(self.newton_tol) or self.max_iters < 1:
             raise ValueError("newton_tol must be positive and max_iters >= 1")
-        if self.dt0 <= 0 or self.dt_floor <= 0:
+        if not (_positive_real(self.dt0) and _positive_real(self.dt_floor)):
             raise ValueError("t-step controls must be positive")
-        if self.cone_floor is not None and self.cone_floor <= 0:
+        if self.cone_floor is not None and not _positive_real(self.cone_floor):
             raise ValueError("cone_floor must be positive when given")
         if self.a0 is not None and np.min(self.a0) <= 0:
             raise ValueError("reference density a0 must be positive pointwise")
@@ -393,37 +400,54 @@ def apply_linearization(
     return dr_f, dr_u
 
 
+_L_INVERSE_MAX_ITERS = 60
+_EPS = float(np.finfo(float).eps)
+
+
 def l_inverse(a, eta):
     """Invert the shifted determinant map: the unique v with prod_i(v + a_i) = eta.
 
     ``a`` has shape (r, ...) and ``eta`` broadcasts over the trailing shape;
-    eta must be positive.  The root satisfies v + a_i > 0 for every i, is
-    strictly increasing in eta, and is found by a monotone safeguarded Newton
-    iteration on log(prod(v + a_i)) - log(eta), started from an upper bound
-    so the iterates never cross the pole.  Scalar inputs return a float.
+    eta must be positive and finite.  The root satisfies v + a_i > 0 for
+    every i and is strictly increasing in eta.  Scalar inputs return a float.
+
+    Newton runs in x = log(v + a_min) with d_i = a_i - a_min >= 0, on
+
+        h(x) = sum_i log(e^x + d_i) - log(eta),
+
+    which is convex and increasing with h' = sum_i e^x / (e^x + d_i) >= 1.
+    It starts from x = log(eta) / r, where h >= 0, so the iterates decrease
+    monotonically to the root and every factor e^x + d_i stays positive.  The
+    iteration stops once h is at its rounding level; reaching the iteration
+    cap raises RuntimeError.  When e^x is below the rounding of a_min the
+    returned v is the next float above -a_min, the nearest value with every
+    v + a_i > 0.
     """
     a_arr = np.asarray(a, dtype=float)
     if a_arr.ndim == 0:
         a_arr = a_arr[None]
     eta_arr = np.asarray(eta, dtype=float)
     scalar = eta_arr.ndim == 0 and a_arr.ndim == 1
-    if np.any(eta_arr <= 0):
-        raise ValueError("eta must be positive")
+    if not np.all((eta_arr > 0) & np.isfinite(eta_arr)):
+        raise ValueError("eta must be positive and finite")
     r = a_arr.shape[0]
     a_min = np.min(a_arr, axis=0)
+    d = a_arr - a_min
     log_eta = np.log(eta_arr)
-    v = eta_arr ** (1.0 / r) + np.max(np.abs(a_arr), axis=0)
-    lower = -a_min  # pole of the product; iterates must stay above it
-    for _ in range(80):
-        w = v + a_arr
-        g = np.sum(np.log(w), axis=0) - log_eta
-        gp = np.sum(1.0 / w, axis=0)
-        step = g / gp
-        v_new = v - step
-        # Bisection-style safeguard against floating-point overshoot.
-        v_new = np.where(v_new <= lower, 0.5 * (v + lower), v_new)
-        done = np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(v)))
-        v = v_new
-        if done:
+    x = log_eta / r
+    for _ in range(_L_INVERSE_MAX_ITERS):
+        ex = np.exp(x)
+        w = ex + d
+        logs = np.log(w)
+        h = np.sum(logs, axis=0) - log_eta
+        x = x - h / np.sum(ex / w, axis=0)
+        # Rounding level of h: a few ulps of the logs it sums.
+        noise = 4.0 * _EPS * (1.0 + np.abs(log_eta) + np.sum(np.abs(logs), axis=0))
+        if np.all(np.abs(h) <= noise):
             break
+    else:
+        raise RuntimeError(
+            f"l_inverse did not converge in {_L_INVERSE_MAX_ITERS} iterations"
+        )
+    v = np.maximum(np.exp(x) - a_min, np.nextafter(-a_min, np.inf))
     return float(v) if scalar else v

@@ -10,9 +10,11 @@ Four layers, bottom up:
   offset alpha0 and the reference density a0 it determines.
 * ``u_step`` / ``v_step``: the two halves of the fixed-point map whose zeros
   are solutions; U resolves the determinant equation for the potential at
-  frozen twist (following an auxiliary 0 <= s <= 1 continuation that starts
-  from the incoming potential), V resolves the trace-free equations at
-  frozen potential.  ``picard_step`` applies both and reports the gap.
+  frozen twist (an auxiliary 0 <= s <= 1 continuation from the incoming
+  potential, tried in one step to s = 1 first and halved only on failure),
+  V resolves the trace-free equations at frozen potential (r-1 Helmholtz
+  solves, the last twist log rebuilt from the trace constraint).
+  ``picard_step`` applies both and reports the gap.
 * ``newton_at_t``: damped Newton at fixed t on the reduced unknowns
   (f, u_1..u_{r-1}), with u_r eliminated so det g = 1 holds exactly.  The
   linear systems use the exact Frechet derivative and a constant-coefficient
@@ -149,22 +151,39 @@ def solve_t0(
     return state, filled
 
 
+def _project_trace(u: np.ndarray) -> np.ndarray:
+    """Rebuild the last twist log from the others so det g = 1 exactly."""
+    out = np.array(u, dtype=float, copy=True)
+    if out.shape[0] == 1:
+        out[0] = 0.0
+    else:
+        out[-1] = -np.sum(out[:-1], axis=0)
+    return out
+
+
 def v_step(f: ScalarField, curv: CurvatureData) -> np.ndarray:
     """Resolve the trace-free equations at frozen potential.
 
-    Returns the unique twist logs with lap(u_i) = s_i + e^f u_i, one
-    Helmholtz solve per summand.  Their sum vanishes (to solver tolerance)
-    because the s_i sum to zero.
+    Returns the unique twist logs with lap(u_i) = s_i + e^f u_i.  Their sum
+    vanishes because the s_i sum to zero, so only u_1..u_{r-1} are solved
+    for, one Helmholtz solve each, and u_r = -(u_1 + ... + u_{r-1}) is
+    rebuilt from them (zero at rank one, where s_1 = 0).
     """
     grid = curv.grid
-    f = grid.bind(f)
-    c = np.exp(f)
-    return np.stack([solve_helmholtz(grid, c, curv.s[i]) for i in range(curv.rank)])
+    c = np.exp(grid.bind(f))
+    u = np.zeros(curv.s.shape)
+    for i in range(curv.rank - 1):
+        u[i] = solve_helmholtz(grid, c, curv.s[i])
+    return _project_trace(u)
 
 
 def _l_inverse_slope(v: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
-    # d/dU of l_inverse(a, e^(lam U) a0) at v: lam / sum_i 1/(v + a_i).
+    # d/dU of l_inverse(a, e^(lam U) a0) at v: lam / sum_i 1/(v + a_i);
+    # l_inverse keeps every factor v + a_i positive.
     return lam / np.sum(1.0 / (v + a), axis=0)
+
+
+_LOG_ETA_LIMIT = 700.0  # e^x is a normal, finite float for |x| below this
 
 
 def u_step(
@@ -177,23 +196,33 @@ def u_step(
     """Resolve the determinant equation for the potential at frozen twist.
 
     Solves lap(U) = L^{-1}_A(e^(lambda U) a0) with the shifts
-    A_i = -e^{f_in} u_i + 1/r + alpha0 (1 - t), following the auxiliary path
+    A_i = -e^{f_in} u_i + 1/r + alpha0 (1 - t).  Its right side strictly
+    increases in U, so by the maximum principle the solution is unique and
+    the auxiliary path
 
-        lap(U) = (1-s) (U - f_in + lap(f_in)) + s L^{-1}_A(e^(lambda U) a0)
+        lap(U) = (1-s) (U - f_in + lap(f_in)) + s L^{-1}_A(e^(lambda U) a0),
 
-    from its exact solution U = f_in at s = 0 up to s = 1.  The pointwise
-    admissibility lap(U) + A_i > 0 is asserted after every accepted s-step.
-    Raises PathStallError when the s-step falls below 1e-4.
+    whose exact solution at s = 0 is U = f_in, only globalizes the solve.
+    The first s-step goes straight to s = 1 and a failed one is halved.  An
+    inner Newton trial whose density e^(lambda U) a0 leaves the floating-point
+    range is backtracked, and an inner solve that fails (no decrease, a
+    coefficient that is not finite and positive, or no convergence in 30
+    iterations) fails the s-step.  The pointwise admissibility
+    lap(U) + A_i > 0 is asserted after every accepted s-step.  Raises
+    PathStallError when the s-step falls below 1e-4.
     """
     grid = curv.grid
-    a0 = params.require_a0()
+    log_a0 = np.log(params.require_a0())
     lam = params.lam
     f_in = grid.bind(f_in)
     a = cone_shift(f_in, u, t, params.alpha0)
     lap_f_in = grid.laplacian(f_in)
 
     def path_residual(cand: np.ndarray, s: float):
-        v = l_inverse(a, np.exp(lam * cand) * a0)
+        log_eta = lam * cand + log_a0
+        if not np.all(np.abs(log_eta) < _LOG_ETA_LIMIT):
+            return None, None
+        v = l_inverse(a, np.exp(log_eta))
         rho = (
             grid.laplacian(cand)
             - (1.0 - s) * (cand - f_in + lap_f_in)
@@ -202,13 +231,16 @@ def u_step(
         return rho, v
 
     def inner_newton(cand: np.ndarray, s: float):
-        cand = cand.copy()
         rho, v = path_residual(cand, s)
+        if rho is None:
+            return cand, v, False
         res = grid.sup(rho)
         for _ in range(30):
             if res <= params.newton_tol:
                 return cand, v, True
             coeff = (1.0 - s) + s * _l_inverse_slope(v, a, lam)
+            if not (np.all(np.isfinite(coeff)) and np.min(coeff) > 0.0):
+                return cand, v, False
             delta = solve_helmholtz(grid, coeff, -rho)
             top = grid.sup(delta)
             if top > _MAX_F_STEP:
@@ -217,7 +249,7 @@ def u_step(
             while step >= _BACKTRACK_FLOOR:
                 trial = cand + step * delta
                 rho_t, v_t = path_residual(trial, s)
-                res_t = grid.sup(rho_t)
+                res_t = np.inf if rho_t is None else grid.sup(rho_t)
                 if res_t < res:
                     cand, rho, v, res = trial, rho_t, v_t, res_t
                     break
@@ -228,7 +260,7 @@ def u_step(
 
     cand = f_in.copy()
     s = 0.0
-    ds = 0.25
+    ds = 1.0
     while s < 1.0:
         s_try = min(s + ds, 1.0)
         trial, v, ok = inner_newton(cand, s_try)
@@ -284,16 +316,6 @@ class NewtonReport:
             "cone_margins": list(self.cone_margins),
             "residual_history": list(self.residual_history),
         }
-
-
-def _project_trace(u: np.ndarray) -> np.ndarray:
-    """Rebuild the last twist log from the others so det g = 1 exactly."""
-    out = np.array(u, dtype=float, copy=True)
-    if out.shape[0] == 1:
-        out[0] = 0.0
-    else:
-        out[-1] = -np.sum(out[:-1], axis=0)
-    return out
 
 
 def _newton_direction(state, curv, params, r_f, r_u, forcing):

@@ -114,6 +114,11 @@ def test_parse_config_dt0_past_t_range(tmp_path):
         ("grid.n=abc\nbundle.r=2\nbundle.degrees=1,3\n", "integer"),
         (BASE + "bundle.perturbation.modes=1\n", "kx,ky"),
         (BASE + "params.mu=1\n", "unknown"),
+        (BASE + "params.alpha0=nan\n", "finite"),
+        (BASE + "params.alpha0=inf\n", "finite"),
+        (BASE + "tol.newton=nan\n", "positive"),
+        (BASE + "march.dt0=nan\n", "positive"),
+        (BASE + "tol.cone_floor=inf\n", "positive when given"),
         (BASE + "seed=0\n", "unknown"),
     ],
 )

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demlab import model
 from demlab import (
     BundleSpec,
     ConeViolationError,
@@ -174,6 +177,76 @@ def test_l_inverse_monotone_in_eta():
     etas = np.array([0.1, 0.5, 2.0, 10.0])
     vals = np.array([l_inverse(a, e) for e in etas])
     assert np.all(np.diff(vals) > 0)
+
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def _l_inverse_inputs(draw):
+    # Rank 1..4, shifts in [-5, 5], log(eta) in [-100, 100], 1..6 points.
+    r = draw(st.integers(1, 4))
+    shift = st.floats(-5.0, 5.0, allow_nan=False)
+    points = draw(
+        st.lists(
+            st.tuples(st.lists(shift, min_size=r, max_size=r), st.floats(-100.0, 100.0)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    a = np.array([p[0] for p in points]).T
+    log_eta = np.array([p[1] for p in points])
+    return a, log_eta
+
+
+def _log_det_gap(v, a, log_eta):
+    # sum_i log(v + a_i) - log(eta); -inf where a factor is not positive.
+    w = v + a
+    positive = np.all(w > 0, axis=0)
+    logs = np.log(np.where(w > 0, w, 1.0))
+    return np.where(positive, np.sum(logs, axis=0) - log_eta, -np.inf)
+
+
+@settings(deadline=None, max_examples=300)
+@given(inputs=_l_inverse_inputs())
+def test_l_inverse_root_identity_property(inputs):
+    a, log_eta = inputs
+    v = l_inverse(a, np.exp(log_eta))
+    w = v + a
+    assert np.all(w > 0)
+    # Rounding v costs up to a few ulps of |v| + |a_i| in each factor; where
+    # that is below the smallest factor, the product is eta to 1e-12 relative.
+    rounding = 4.0 * _EPS * (np.abs(v) + np.max(np.abs(a), axis=0))
+    resolved = rounding * np.sum(1.0 / w, axis=0) <= 1e-13
+    rel = np.abs(np.expm1(np.sum(np.log(w), axis=0) - log_eta))
+    assert np.all(rel[resolved] <= 1e-12)
+    # Everywhere, the exact root lies within that rounding plus a 1e-12
+    # relative change of the product: the determinant gap changes sign.
+    delta = 1e-12 / np.sum(1.0 / w, axis=0) + rounding
+    assert np.all(_log_det_gap(v - delta, a, log_eta) < 0)
+    assert np.all(_log_det_gap(v + delta, a, log_eta) > 0)
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=_l_inverse_inputs(), rise=st.floats(1e-9, 1.0))
+def test_l_inverse_monotone_in_eta_property(inputs, rise):
+    a, log_eta = inputs
+    low = l_inverse(a, np.exp(np.minimum(log_eta, 99.0)))
+    high = l_inverse(a, np.exp(np.minimum(log_eta, 99.0) + rise))
+    assert np.all(high >= low)
+
+
+def test_l_inverse_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(model, "_L_INVERSE_MAX_ITERS", 1)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        l_inverse([2.0, 3.0], 12.0)
+
+
+def test_l_inverse_rejects_non_finite_eta():
+    with pytest.raises(ValueError, match="finite"):
+        l_inverse([1.0, 1.0], np.inf)
+    with pytest.raises(ValueError, match="finite"):
+        l_inverse([1.0, 1.0], np.nan)
 
 
 def _admissible_state(grid, spec, curv, params, rng):

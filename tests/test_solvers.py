@@ -14,7 +14,9 @@ from demlab import (
     State,
     closed_form_state,
     build_curvature,
+    l_inverse,
     make_grid,
+    march,
     newton_at_t,
     picard_step,
     random_band_limited,
@@ -26,6 +28,7 @@ from demlab import (
     u_step,
     v_step,
 )
+from demlab import solvers
 from dataclasses import replace
 
 logger = logging.getLogger(__name__)
@@ -221,6 +224,31 @@ def test_u_step_stalls_outside_admissible_set(grid16):
         u_step(np.zeros((16, 16)), u, 1.0, curv, params)
 
 
+def test_u_step_far_start_at_t1(grid16):
+    # From this start every intermediate s-step fails, so the path stalls at
+    # s=0 unless s=1 is tried first.  U is checked against the equation it
+    # solves, with the shifts A_i = 1/r - e^f_in u_i written out.
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    curv = build_curvature(spec, grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    f_in = random_band_limited(grid16, np.random.default_rng(1), kmax=2, amplitude=0.05)
+    U = u_step(f_in, state0.u, 1.0, curv, params)
+    shifts = 0.5 - np.exp(f_in)[None, :, :] * state0.u
+    lap_u = grid16.laplacian(U)
+    target = l_inverse(shifts, np.exp(8.0 * U) * params.a0)
+    assert np.max(np.abs(lap_u - target)) <= params.newton_tol
+    assert np.min(lap_u[None, :, :] + shifts) > 0.0
+
+
+def test_u_step_stalls_when_density_leaves_float_range(grid16):
+    # e^(lambda f_in) a0 overflows at lambda = 400, f_in = 2; every s-step
+    # fails on the range check instead of warning or raising ValueError.
+    curv = build_curvature(BundleSpec((1, 3)), grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=10.0))
+    with pytest.raises(PathStallError):
+        u_step(np.full((16, 16), 2.0), state0.u, 0.5, curv, params)
+
+
 # ------------------------------------------------------------------- Picard
 
 
@@ -312,3 +340,34 @@ def test_newton_agrees_with_iterated_picard_at_t0(grid16):
     for _ in range(20):
         picard_sol, _ = picard_step(picard_sol, curv, params)
     assert state_distance(newton_sol, picard_sol) <= 1e-8
+
+
+def test_picard_readme_case_t1_work_pinned(monkeypatch):
+    # The README case at n=32, started from the t=0 state at t=1, under
+    # strict numerics.  Each step is one u_step and one v_step (r-1 = 1
+    # Helmholtz solve); every u_step is accepted at s=1.
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    curv = build_curvature(spec, grid)
+    params = DemaillyParams(lam=8.0, alpha0=10.0)
+    state0, filled = solve_t0(curv, params)
+    solves = []
+    real_solve = solvers.solve_helmholtz
+
+    def counted_solve(*args):
+        solves.append(args[0].n)
+        return real_solve(*args)
+
+    monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    state = State(grid, state0.f, state0.u, 1.0)
+    with np.errstate(all="raise"):
+        for steps in range(1, 101):
+            state, gap = picard_step(state, curv, filled)
+            if gap <= 1e-9:
+                break
+    assert gap <= 1e-9
+    assert steps == 19
+    assert len(solves) - steps == 37  # u_step's inner Newton solves
+    monkeypatch.undo()
+    newton = march(spec, replace(params, dt0=1.0), grid).final_state
+    assert state_distance(state, newton) <= 1e-8
