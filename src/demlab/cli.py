@@ -70,9 +70,9 @@ class RunConfig:
     modes: tuple[tuple[int, int], ...] = ((1, 1),)
     lam: float | None = None
     alpha0: float | None = None
-    dt0: float = 0.05
-    dt_floor: float = 1e-4
-    newton_tol: float = 1e-9
+    dt0: float = DemaillyParams.dt0
+    dt_floor: float = DemaillyParams.dt_floor
+    newton_tol: float = DemaillyParams.newton_tol
     cone_floor: float | None = None
     out_dir: str | None = None
 

@@ -3,8 +3,9 @@
 Four layers, bottom up:
 
 * ``solve_helmholtz``: the linear kernel (lap - c) w = rhs with c > 0,
-  solved spectrally when c is constant and by preconditioned conjugate
-  gradients otherwise.  Everything else reduces to it.
+  solved spectrally when c is constant and by conjugate gradients
+  (``krylov.cg``, preconditioned by the mean coefficient) otherwise.
+  Everything else reduces to it.
 * ``solve_t0``: the explicit construction of the starting solution at t=0
   (f = 0, twist logs from one Helmholtz solve per summand) together with the
   offset alpha0 and the reference density a0 it determines.
@@ -18,7 +19,9 @@ Four layers, bottom up:
 * ``newton_at_t``: damped Newton at fixed t on the reduced unknowns
   (f, u_1..u_{r-1}), with u_r eliminated so det g = 1 holds exactly.  The
   linear systems use the exact Frechet derivative and a constant-coefficient
-  spectral preconditioner.
+  spectral preconditioner, solved by restarted GMRES (``krylov.gmres``);
+  a direction whose GMRES solve misses its tolerance is still tried and is
+  counted in ``NewtonReport.krylov_failures``.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg, gmres
 
 from .geometry import Grid, ScalarField
+from .krylov import LinearMap, cg, gmres
 from .model import (
     ConeViolationError,
     CurvatureData,
@@ -99,12 +102,12 @@ def solve_helmholtz(grid: Grid, c, rhs: ScalarField) -> ScalarField:
     def precond(y):
         return grid.irfft2(grid.rfft2(y.reshape(n, n)) / symbol).ravel()
 
-    op = LinearOperator((nn, nn), matvec=matvec, dtype=float)
-    prec = LinearOperator((nn, nn), matvec=precond, dtype=float)
+    op = LinearMap(nn, matvec)
+    prec = LinearMap(nn, precond)
     b = -rhs.ravel()
     x = np.zeros(nn)
     for _ in range(5):
-        dx, _ = cg(op, b - matvec(x), rtol=1e-13, atol=0.0, maxiter=400, M=prec)
+        dx, _ = cg(op, b - matvec(x), rtol=1e-13, maxiter=400, M=prec)
         x = x + dx
         w = x.reshape(n, n)
         res = grid.laplacian(w) - c_arr * w - rhs
@@ -206,8 +209,9 @@ def u_step(
     The first s-step goes straight to s = 1 and a failed one is halved.  An
     inner Newton trial whose density e^(lambda U) a0 leaves the floating-point
     range is backtracked, and an inner solve that fails (no decrease, a
-    coefficient that is not finite and positive, or no convergence in 30
-    iterations) fails the s-step.  The pointwise admissibility
+    coefficient that is not finite and positive, a Helmholtz solve that
+    misses its target, or no convergence in 30 iterations) fails the
+    s-step.  The pointwise admissibility
     lap(U) + A_i > 0 is asserted after every accepted s-step.  Raises
     PathStallError when the s-step falls below 1e-4.
     """
@@ -241,7 +245,10 @@ def u_step(
             coeff = (1.0 - s) + s * _l_inverse_slope(v, a, lam)
             if not (np.all(np.isfinite(coeff)) and np.min(coeff) > 0.0):
                 return cand, v, False
-            delta = solve_helmholtz(grid, coeff, -rho)
+            try:
+                delta = solve_helmholtz(grid, coeff, -rho)
+            except HelmholtzError:
+                return cand, v, False
             top = grid.sup(delta)
             if top > _MAX_F_STEP:
                 delta *= _MAX_F_STEP / top
@@ -306,12 +313,14 @@ class NewtonReport:
     cone_margins: list[float]
     residual_history: list[float]
     converged: bool
+    krylov_failures: int
 
     def summary(self) -> dict:
         return {
             "iterations": self.iterations,
             "final_residual": self.final_residual,
             "converged": self.converged,
+            "krylov_failures": self.krylov_failures,
             "damping": list(self.damping),
             "cone_margins": list(self.cone_margins),
             "residual_history": list(self.residual_history),
@@ -353,12 +362,12 @@ def _newton_direction(state, curv, params, r_f, r_u, forcing):
         return grid.irfft2(grid.rfft2(blocks) / symbols).ravel()
 
     size = (1 + nu) * nn
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    prec = LinearOperator((size, size), matvec=precond, dtype=float)
+    op = LinearMap(size, matvec)
+    prec = LinearMap(size, precond)
     b = -r_f.ravel() if not nu else -np.concatenate([r_f.ravel(), r_u[:nu].ravel()])
     rtol = max(min(1e-3, forcing), 1e-13)
-    z, _ = gmres(op, b, rtol=rtol, atol=0.0, restart=80, maxiter=5, M=prec)
-    return unpack(z)
+    z, info = gmres(op, b, rtol=rtol, restart=80, maxiter=5, M=prec)
+    return (*unpack(z), info != 0)
 
 
 def newton_at_t(
@@ -388,12 +397,19 @@ def newton_at_t(
     damping: list[float] = []
     margins: list[float] = [margin]
     history: list[float] = [res]
+    krylov_failures = 0
     for it in range(params.max_iters + 1):
         if res <= params.newton_tol:
-            return state, NewtonReport(it, res, damping, margins, history, True)
+            report = NewtonReport(
+                it, res, damping, margins, history, True, krylov_failures
+            )
+            return state, report
         if it == params.max_iters:
             break
-        df_step, du_step = _newton_direction(state, curv, params, r_f, r_u, res)
+        df_step, du_step, failed = _newton_direction(
+            state, curv, params, r_f, r_u, res
+        )
+        krylov_failures += failed
         top = grid.sup(df_step)
         if top > _MAX_F_STEP:
             scale = _MAX_F_STEP / top

@@ -274,6 +274,7 @@ def test_run_solve_constant(tmp_path):
     assert report["breakdown_t"] is None
     assert report["breakdown_reason"] is None
     assert len(report["steps"]) == 6
+    assert all(step["newton"]["krylov_failures"] == 0 for step in report["steps"])
     assert len(list((out / "snapshots").glob("*.snap"))) == 6
 
 

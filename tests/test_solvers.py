@@ -9,6 +9,7 @@ from demlab import (
     BundleSpec,
     ConeViolationError,
     DemaillyParams,
+    HelmholtzError,
     MaxIterationsError,
     PathStallError,
     State,
@@ -249,6 +250,37 @@ def test_u_step_stalls_when_density_leaves_float_range(grid16):
         u_step(np.full((16, 16), 2.0), state0.u, 0.5, curv, params)
 
 
+def test_u_step_helmholtz_failure_fails_the_s_step(monkeypatch, grid16):
+    # From this start the s=1 step's first variable-coefficient solve misses
+    # its target (the coefficient spans 4e-13 to 4e8).  That must fail the
+    # s-step, not escape as HelmholtzError; the halved step s=0.5 and then
+    # s=1 succeed.  U is checked against the equation it solves, with the
+    # shifts A_i = 1/r - e^f_in u_i + alpha0 (1 - t) written out.
+    spec = BundleSpec.cosine_pair((1, 3), 0.2, ((1, 1),))
+    curv = build_curvature(spec, grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=10.0))
+    bump = random_band_limited(grid16, np.random.default_rng(1), kmax=2, amplitude=0.1)
+    f_in = state0.f + bump
+    failures = []
+    real_solve = solvers.solve_helmholtz
+
+    def recording_solve(grid, c, rhs):
+        try:
+            return real_solve(grid, c, rhs)
+        except HelmholtzError:
+            failures.append(c)
+            raise
+
+    monkeypatch.setattr(solvers, "solve_helmholtz", recording_solve)
+    U = u_step(f_in, state0.u, 0.5, curv, params)
+    assert failures
+    shifts = 0.5 - np.exp(f_in)[None, :, :] * state0.u + 0.5 * params.alpha0
+    lap_u = grid16.laplacian(U)
+    target = l_inverse(shifts, np.exp(400.0 * U) * params.a0)
+    assert np.max(np.abs(lap_u - target)) <= params.newton_tol
+    assert np.min(lap_u[None, :, :] + shifts) > 0.0
+
+
 # ------------------------------------------------------------------- Picard
 
 
@@ -323,6 +355,34 @@ def test_newton_max_iterations(constant_setup):
     start = State(grid, cf.f + bump, cf.u, 0.5)
     with pytest.raises(MaxIterationsError):
         newton_at_t(start, 0.5, curv, replace(params, max_iters=1))
+
+
+def test_newton_counts_krylov_failures(monkeypatch, constant_setup):
+    # The first direction comes from a GMRES cut short (info != 0); Newton
+    # still uses it, converges, and reports the failure.
+    spec, curv, _, params = constant_setup
+    grid = curv.grid
+    cf = closed_form_state(spec, params, grid, 0.5)
+    bump = grid.sample(lambda X, Y: 1e-2 * np.cos(2 * np.pi * X))
+    start = State(grid, cf.f + bump, cf.u, 0.5)
+    _, clean = newton_at_t(start, 0.5, curv, params)
+    assert clean.krylov_failures == 0
+    infos = []
+    real_gmres = solvers.gmres
+
+    def short_first_solve(A, b, **kwargs):
+        if not infos:
+            kwargs = dict(kwargs, restart=1, maxiter=1)
+        z, info = real_gmres(A, b, **kwargs)
+        infos.append(info)
+        return z, info
+
+    monkeypatch.setattr(solvers, "gmres", short_first_solve)
+    _, report = newton_at_t(start, 0.5, curv, params)
+    assert report.converged
+    assert infos[0] != 0 and all(info == 0 for info in infos[1:])
+    assert report.krylov_failures == 1
+    assert report.summary()["krylov_failures"] == 1
 
 
 def test_newton_agrees_with_iterated_picard_at_t0(grid16):
