@@ -94,6 +94,8 @@ class RunConfig:
             )
         if self.preset not in ("none", "cosine"):
             raise ConfigError(f"unknown perturbation preset {self.preset!r}")
+        if self.preset == "none" and self.amplitude != 0.0:
+            raise ConfigError(f"perturbation amplitude {self.amplitude} needs preset = cosine")
         try:
             build_inputs(self)
         except ValueError as exc:
@@ -337,13 +339,6 @@ def _write_summary(path, report: MarchReport, rank: int) -> None:
             writer.writerow(row)
 
 
-def _config_echo(config: RunConfig) -> dict:
-    echo = dataclasses.asdict(config)
-    echo["degrees"] = list(config.degrees)
-    echo["modes"] = [list(m) for m in config.modes]
-    return echo
-
-
 def run_solve(config: RunConfig, out_dir) -> int:
     """Solve end to end and persist the artifacts; 0 reached t=1, 2 breakdown."""
     out = Path(out_dir)
@@ -371,7 +366,7 @@ def run_solve(config: RunConfig, out_dir) -> int:
     _write_summary(out / "summary.csv", report, config.rank)
     doc = {
         "format_version": 1,
-        "config": _config_echo(config),
+        "config": dataclasses.asdict(config),
         "lambda": params.lam,
         "alpha0": params.alpha0,
         "cone_floor": params.cone_floor,
@@ -474,6 +469,17 @@ def _axis_label(value) -> str:
     return format(value, "g") if isinstance(value, float) else str(value)
 
 
+# The outcome fields of a sweep row, as recorded for a member that failed.
+_SWEEP_FAILURE = {
+    "exit_code": 1,
+    "reached_t1": False,
+    "breakdown_t": None,
+    "final_t": None,
+    "final_min_f": None,
+    "error": None,
+}
+
+
 def run_sweep(config: RunConfig, axis: str, values_raw: str, out_dir) -> int:
     """Run one solve per axis value; member failures are recorded, not fatal."""
     values = _parse_axis_values(axis, values_raw)
@@ -483,50 +489,23 @@ def run_sweep(config: RunConfig, axis: str, values_raw: str, out_dir) -> int:
     for value in values:
         label = _axis_label(value)
         run_dir = out / f"{axis}_{label}"
-        entry = {"axis": axis, "value": label, "dir": str(run_dir)}
+        row = {"axis": axis, "value": label, "dir": str(run_dir), **_SWEEP_FAILURE}
         try:
-            cfg = _apply_axis(config, axis, value)
-            code = run_solve(cfg, run_dir)
+            code = run_solve(_apply_axis(config, axis, value), run_dir)
             run_doc = json.loads((run_dir / "report.json").read_text())
-            entry.update(
-                {
-                    "exit_code": code,
-                    "reached_t1": run_doc["reached_t1"],
-                    "breakdown_t": run_doc["breakdown_t"],
-                    "final_t": run_doc["steps"][-1]["t"] if run_doc["steps"] else None,
-                    "final_min_f": run_doc["steps"][-1]["diagnostics"]["min_f"]
-                    if run_doc["steps"]
-                    else None,
-                    "error": None,
-                }
+            steps = run_doc["steps"]
+            row.update(
+                exit_code=code,
+                reached_t1=run_doc["reached_t1"],
+                breakdown_t=run_doc["breakdown_t"],
+                final_t=steps[-1]["t"] if steps else None,
+                final_min_f=steps[-1]["diagnostics"]["min_f"] if steps else None,
             )
         except Exception as exc:  # member failures are data, not crashes
-            entry.update(
-                {
-                    "exit_code": 1,
-                    "reached_t1": False,
-                    "breakdown_t": None,
-                    "final_t": None,
-                    "final_min_f": None,
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            )
-        rows.append(entry)
+            row["error"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
     with open(out / "sweep_summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "axis",
-                "value",
-                "dir",
-                "exit_code",
-                "reached_t1",
-                "breakdown_t",
-                "final_t",
-                "final_min_f",
-                "error",
-            ],
-        )
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     (out / "sweep_report.json").write_text(json.dumps(rows, indent=2) + "\n")
@@ -567,29 +546,20 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config)
-        out_dir = None
-        if args.command in ("solve", "sweep"):
-            out_dir = args.out or config.out_dir
-            if out_dir is None:
-                raise ConfigError("no output directory: pass --out or set output.dir")
-    except ConfigError as exc:
-        return _fail(f"config error: {exc}")
-
-    try:
+        if args.command == "verify":
+            return run_verify(args.snapshot, config)
+        out_dir = args.out or config.out_dir
+        if out_dir is None:
+            raise ConfigError("no output directory: pass --out or set output.dir")
         if args.command == "solve":
             return run_solve(config, out_dir)
-        if args.command == "verify":
-            try:
-                return run_verify(args.snapshot, config)
-            except SnapshotError as exc:
-                return _fail(f"snapshot error: {exc}")
-        if args.command == "sweep":
-            return run_sweep(config, args.axis, args.values, out_dir)
+        return run_sweep(config, args.axis, args.values, out_dir)
     except ConfigError as exc:
         return _fail(f"config error: {exc}")
+    except SnapshotError as exc:
+        return _fail(f"snapshot error: {exc}")
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-    return _fail(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

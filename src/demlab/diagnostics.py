@@ -14,6 +14,9 @@ Every accepted continuation state is pushed through the same battery:
   e^(lambda max f) a0 <= prod_i (1/r - e^(max f) u_i + (1-t) alpha0) holds
   there.
 
+``run_diagnostics`` returns a ``DiagnosticsRecord``: the measured values,
+each check's bound in its ``thresholds`` dict, and the failed checks.
+
 Inequalities are asserted on converged solution states only; on arbitrary
 iterates the records are informational.  All checks are pure functions of
 the state, so recomputing a record from a persisted state reproduces it.
@@ -21,7 +24,7 @@ the state, so recomputing a record from a persisted state reproduces it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,8 +112,10 @@ def check_bounds(state: State, params: DemaillyParams) -> dict:
 class DiagnosticsRecord:
     """One state's measured quantities, thresholds, and verdicts.
 
-    Pass/fail is a pure function of the recorded values and thresholds;
-    ``failed`` lists the names of the checks that missed their bound.
+    ``thresholds`` holds each check's bound by name.  Pass/fail is a pure
+    function of the recorded values and thresholds; ``failed`` lists the
+    names of the checks that missed their bound.  The field order is the
+    layout of ``to_dict``.
     """
 
     t: float
@@ -123,12 +128,7 @@ class DiagnosticsRecord:
     max_exp_lambda_f: float
     argmax_slack: float
     amgm_excess: float
-    identity_tol: float
-    uy_tol: float
-    trace_tol: float
-    cone_floor: float
-    argmax_slack_tol: float
-    amgm_tol: float
+    thresholds: dict[str, float]
     failed: tuple[str, ...]
 
     @property
@@ -136,28 +136,7 @@ class DiagnosticsRecord:
         return not self.failed
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "identity_errors": list(self.identity_errors),
-            "uy_violation": self.uy_violation,
-            "trace_sup": self.trace_sup,
-            "cone_margin": self.cone_margin,
-            "min_f": self.min_f,
-            "max_f": self.max_f,
-            "max_exp_lambda_f": self.max_exp_lambda_f,
-            "argmax_slack": self.argmax_slack,
-            "amgm_excess": self.amgm_excess,
-            "thresholds": {
-                "identity": self.identity_tol,
-                "uy": self.uy_tol,
-                "trace": self.trace_tol,
-                "cone_floor": self.cone_floor,
-                "argmax_slack": self.argmax_slack_tol,
-                "amgm": self.amgm_tol,
-            },
-            "failed": list(self.failed),
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def run_diagnostics(
@@ -167,24 +146,29 @@ def run_diagnostics(
     identity = check_integral_identity(state, curv)
     uy = check_uy_inequality(state, curv)
     s_sup = float(np.max(curv.s_pointwise_norm))
-    uy_tol = UY_BASE_TOL * (1.0 + s_sup**2)
     trace = state.trace_sup()
     margin = cone_margin(state, params)
     bounds = check_bounds(state, params)
-    slack_tol = ARGMAX_SLACK_TOL * bounds["argmax_slack_scale"]
-    floor = params.cone_floor_value
+    thresholds = {
+        "identity": IDENTITY_TOL,
+        "uy": UY_BASE_TOL * (1.0 + s_sup**2),
+        "trace": TRACE_TOL,
+        "cone_floor": params.cone_floor_value,
+        "argmax_slack": ARGMAX_SLACK_TOL * bounds["argmax_slack_scale"],
+        "amgm": AMGM_REL_TOL,
+    }
     failed = []
-    if float(np.max(identity)) > IDENTITY_TOL:
+    if float(np.max(identity)) > thresholds["identity"]:
         failed.append("integral_identity")
-    if uy > uy_tol:
+    if uy > thresholds["uy"]:
         failed.append("uy_inequality")
-    if trace > TRACE_TOL:
+    if trace > thresholds["trace"]:
         failed.append("trace_constraint")
-    if margin < floor:
+    if margin < thresholds["cone_floor"]:
         failed.append("cone_margin")
-    if bounds["argmax_slack"] > slack_tol:
+    if bounds["argmax_slack"] > thresholds["argmax_slack"]:
         failed.append("argmax_slack")
-    if bounds["amgm_excess"] > AMGM_REL_TOL:
+    if bounds["amgm_excess"] > thresholds["amgm"]:
         failed.append("amgm_bound")
     return DiagnosticsRecord(
         t=state.t,
@@ -197,12 +181,7 @@ def run_diagnostics(
         max_exp_lambda_f=bounds["max_exp_lambda_f"],
         argmax_slack=bounds["argmax_slack"],
         amgm_excess=bounds["amgm_excess"],
-        identity_tol=IDENTITY_TOL,
-        uy_tol=uy_tol,
-        trace_tol=TRACE_TOL,
-        cone_floor=floor,
-        argmax_slack_tol=slack_tol,
-        amgm_tol=AMGM_REL_TOL,
+        thresholds=thresholds,
         failed=tuple(failed),
     )
 

@@ -195,7 +195,6 @@ class DemaillyParams:
     a0: np.ndarray | None = None
     newton_tol: float = 1e-9
     cone_floor: float | None = None
-    max_iters: int = 50
     dt0: float = 0.05
     dt_floor: float = 1e-4
 
@@ -204,8 +203,8 @@ class DemaillyParams:
             raise ValueError(f"lambda must be a positive real, got {self.lam}")
         if self.alpha0 is not None and not np.isfinite(self.alpha0):
             raise ValueError(f"alpha0 must be finite, got {self.alpha0}")
-        if not _positive_real(self.newton_tol) or self.max_iters < 1:
-            raise ValueError("newton_tol must be positive and max_iters >= 1")
+        if not _positive_real(self.newton_tol):
+            raise ValueError("newton_tol must be positive")
         if not (_positive_real(self.dt0) and _positive_real(self.dt_floor)):
             raise ValueError("t-step controls must be positive")
         if self.cone_floor is not None and not _positive_real(self.cone_floor):

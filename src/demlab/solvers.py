@@ -26,7 +26,7 @@ Four layers, bottom up:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .model import (
     linearize,
     residual,
     residual_sup,
+    state_distance,
 )
 
 
@@ -65,6 +66,7 @@ class MaxIterationsError(RuntimeError):
 
 
 _BACKTRACK_FLOOR = 2.0**-20
+_MAX_ITERS = 50  # Newton iteration budget per solve
 _MAX_F_STEP = 5.0  # |df| clamp per damped step, guards e^(lambda f) overflow
 
 
@@ -295,36 +297,24 @@ def picard_step(
     A state solves the system at its t exactly when the gap vanishes.
     """
     new_f = u_step(state.f, state.u, state.t, curv, params)
-    new_u = v_step(state.f, curv)
-    gap = max(
-        float(np.max(np.abs(state.f - new_f))),
-        float(np.max(np.abs(state.u - new_u))),
-    )
-    return State(state.grid, new_f, new_u, state.t), gap
+    new_state = State(state.grid, new_f, v_step(state.f, curv), state.t)
+    return new_state, state_distance(state, new_state)
 
 
 @dataclass
 class NewtonReport:
-    """Convergence record of one damped Newton solve."""
+    """Convergence record of one damped Newton solve; field order is the summary layout."""
 
     iterations: int
     final_residual: float
+    converged: bool
+    krylov_failures: int
     damping: list[float]
     cone_margins: list[float]
     residual_history: list[float]
-    converged: bool
-    krylov_failures: int
 
     def summary(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_residual": self.final_residual,
-            "converged": self.converged,
-            "krylov_failures": self.krylov_failures,
-            "damping": list(self.damping),
-            "cone_margins": list(self.cone_margins),
-            "residual_history": list(self.residual_history),
-        }
+        return asdict(self)
 
 
 def _newton_direction(state, curv, params, r_f, r_u, forcing):
@@ -332,24 +322,17 @@ def _newton_direction(state, curv, params, r_f, r_u, forcing):
     grid = state.grid
     n = grid.n
     nn = n * n
-    r = state.rank
-    nu = r - 1
+    nu = state.rank - 1
 
+    # Unknowns (df, du_1..du_{r-1}); du_r is minus their sum (zero at rank one).
     def unpack(z):
-        df = z[:nn].reshape(n, n)
-        if nu:
-            du_part = z[nn:].reshape(nu, n, n)
-            du = np.concatenate([du_part, -np.sum(du_part, axis=0)[None]], axis=0)
-        else:
-            du = np.zeros((1, n, n))
-        return df, du
+        du_part = z[nn:].reshape(nu, n, n)
+        du = np.concatenate([du_part, -np.sum(du_part, axis=0)[None]], axis=0)
+        return z[:nn].reshape(n, n), du
 
     def matvec(z):
-        df, du = unpack(z)
-        dr_f, dr_u = apply_linearization(lin, Perturbation(df, du))
-        if nu:
-            return np.concatenate([dr_f.ravel(), dr_u[:nu].ravel()])
-        return dr_f.ravel()
+        dr_f, dr_u = apply_linearization(lin, Perturbation(*unpack(z)))
+        return np.concatenate([dr_f.ravel(), dr_u[:nu].ravel()])
 
     # Constant-coefficient symbols: sigma lap - lambda for the potential
     # block, lap - 1 for each twist block; one stacked transform per call.
@@ -364,7 +347,7 @@ def _newton_direction(state, curv, params, r_f, r_u, forcing):
     size = (1 + nu) * nn
     op = LinearMap(size, matvec)
     prec = LinearMap(size, precond)
-    b = -r_f.ravel() if not nu else -np.concatenate([r_f.ravel(), r_u[:nu].ravel()])
+    b = -np.concatenate([r_f.ravel(), r_u[:nu].ravel()])
     rtol = max(min(1e-3, forcing), 1e-13)
     z, info = gmres(op, b, rtol=rtol, restart=80, maxiter=5, M=prec)
     return (*unpack(z), info != 0)
@@ -379,7 +362,7 @@ def newton_at_t(
     iterate has det g = 1 exactly.  Steps are halved until the cone margin
     stays at or above the floor and the residual decreases; the potential
     update is clamped to sup norm 5 per damped step.  Converged means the
-    residual sup norm fell to params.newton_tol within params.max_iters.
+    residual sup norm fell to params.newton_tol within _MAX_ITERS iterations.
 
     Raises ConeViolationError (inadmissible initial state at this t),
     NoDescentError (backtracking floor), or MaxIterationsError.
@@ -398,13 +381,19 @@ def newton_at_t(
     margins: list[float] = [margin]
     history: list[float] = [res]
     krylov_failures = 0
-    for it in range(params.max_iters + 1):
+    for it in range(_MAX_ITERS + 1):
         if res <= params.newton_tol:
             report = NewtonReport(
-                it, res, damping, margins, history, True, krylov_failures
+                iterations=it,
+                final_residual=res,
+                converged=True,
+                krylov_failures=krylov_failures,
+                damping=damping,
+                cone_margins=margins,
+                residual_history=history,
             )
             return state, report
-        if it == params.max_iters:
+        if it == _MAX_ITERS:
             break
         df_step, du_step, failed = _newton_direction(
             state, curv, params, r_f, r_u, res
@@ -445,5 +434,5 @@ def newton_at_t(
         margins.append(margin)
         history.append(res)
     raise MaxIterationsError(
-        f"residual {res:.3e} after {params.max_iters} iterations at t={t}"
+        f"residual {res:.3e} after {_MAX_ITERS} iterations at t={t}"
     )

@@ -169,7 +169,7 @@ def test_criterion_05_uy_inequality(constant_march_64, cosine_march_64, fixed_st
     worst_rel = -np.inf
     for report in (constant_march_64[2], cosine_march_64[2], *fixed_step_marches_64):
         for s in report.steps:
-            worst_rel = max(worst_rel, s.diagnostics.uy_violation / s.diagnostics.uy_tol)
+            worst_rel = max(worst_rel, s.diagnostics.uy_violation / s.diagnostics.thresholds["uy"])
     constant_eq = max(
         abs(s.diagnostics.uy_violation)
         for s in constant_march_64[2].steps + fixed_step_marches_64[0].steps

@@ -1,13 +1,23 @@
 """Config parsing, snapshot persistence, runs, and exit codes."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from demlab import BundleSpec, DemaillyParams, build_curvature, make_grid, run_diagnostics, solve_t0
+from demlab import (
+    BundleSpec,
+    DemaillyParams,
+    State,
+    build_curvature,
+    make_grid,
+    run_diagnostics,
+    solve_t0,
+)
 from demlab.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -107,6 +117,7 @@ def test_parse_config_dt0_past_t_range(tmp_path):
             "rank >= 2",
         ),
         (BASE + "bundle.perturbation.preset=wiggle\n", "preset"),
+        (BASE + "bundle.perturbation.amplitude=0.4\n", "needs preset = cosine"),
         (BASE + "march.dt0=0\n", "positive"),
         (BASE + "march.dt_floor=-1\n", "positive"),
         (BASE + "tol.newton=0\n", "positive"),
@@ -137,12 +148,15 @@ def _valid_values(draw):
         st.lists(st.integers(-5, 9), min_size=2, max_size=4).filter(lambda d: sum(d) > 0)
     )
     mode = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda m: m != (0, 0))
+    preset = draw(st.sampled_from(["none", "cosine"]))
+    # A nonzero amplitude needs the cosine preset.
+    amplitude = draw(st.floats(-2.0, 2.0)) if preset == "cosine" else 0.0
     return {
         "grid.n": ("n", 2 ** draw(st.integers(3, 8))),
         "bundle.r": ("rank", len(degrees)),
         "bundle.degrees": ("degrees", tuple(degrees)),
-        "bundle.perturbation.preset": ("preset", draw(st.sampled_from(["none", "cosine"]))),
-        "bundle.perturbation.amplitude": ("amplitude", draw(st.floats(-2.0, 2.0))),
+        "bundle.perturbation.preset": ("preset", preset),
+        "bundle.perturbation.amplitude": ("amplitude", amplitude),
         "bundle.perturbation.modes": (
             "modes",
             tuple(draw(st.lists(mode, min_size=1, max_size=3))),
@@ -220,6 +234,32 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.t == state.t
     assert meta["lambda"] == 8.0 and meta["alpha0"] == 10.0
     assert meta["degrees"] == (1, 3)
+
+
+# Finite doubles, weighted towards the ones a text format gets wrong: signed
+# zeros, the smallest subnormal and the largest finite magnitude.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_snapshot_floats = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    r=st.integers(1, 3),
+    n=st.sampled_from([8, 16]),
+    t=st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, r, n, t, data):
+    f = data.draw(hnp.arrays(np.float64, (n, n), elements=_snapshot_floats))
+    u = data.draw(hnp.arrays(np.float64, (r, n, n), elements=_snapshot_floats))
+    state = State(make_grid(n, float(r)), f, u, t)
+    path = tmp_path_factory.mktemp("snap") / "state.snap"
+    save_snapshot(path, state, 8.0, 10.0, (1,) * r)
+    loaded, meta = load_snapshot(path)
+    assert loaded.f.tobytes() == f.tobytes()
+    assert loaded.u.tobytes() == u.tobytes()
+    assert np.float64(loaded.t).tobytes() == np.float64(t).tobytes()
+    assert (meta["n"], meta["r"], meta["degrees"]) == (n, r, (1,) * r)
 
 
 def test_snapshot_version_error(tmp_path):
@@ -310,8 +350,6 @@ def test_main_exit_codes_solve_and_verify(tmp_path, capsys):
 
     # Corrupt one twist log: the integral identity must flag it (exit 3).
     state, meta = load_snapshot(snap)
-    from demlab import State
-
     broken = State(
         state.grid, state.f, state.u + np.array([[[0.1]], [[0.0]]]), state.t
     )
@@ -441,3 +479,128 @@ def test_verify_diagnostics_reproducible_from_snapshot(tmp_path):
         a, b = getattr(diag, key), stored[key]
         assert a == pytest.approx(b, rel=1e-14, abs=1e-300) or a == b
     assert list(diag.identity_errors) == stored["identity_errors"]
+
+
+# ------------------------------------------------------------------ layouts
+
+
+def _key_paths(doc: dict, prefix: str = "") -> list[str]:
+    """Dotted key paths of a JSON object in document order, dicts recursed."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + key)
+        if isinstance(value, dict):
+            paths += _key_paths(value, prefix + key + ".")
+    return paths
+
+
+_NEWTON_KEYS = [
+    "iterations",
+    "final_residual",
+    "converged",
+    "krylov_failures",
+    "damping",
+    "cone_margins",
+    "residual_history",
+]
+_DIAGNOSTICS_KEYS = [
+    "t",
+    "identity_errors",
+    "uy_violation",
+    "trace_sup",
+    "cone_margin",
+    "min_f",
+    "max_f",
+    "max_exp_lambda_f",
+    "argmax_slack",
+    "amgm_excess",
+    "thresholds",
+    "thresholds.identity",
+    "thresholds.uy",
+    "thresholds.trace",
+    "thresholds.cone_floor",
+    "thresholds.argmax_slack",
+    "thresholds.amgm",
+    "failed",
+    "passed",
+]
+_SWEEP_KEYS = [
+    "axis",
+    "value",
+    "dir",
+    "exit_code",
+    "reached_t1",
+    "breakdown_t",
+    "final_t",
+    "final_min_f",
+    "error",
+]
+
+
+def test_artifact_layouts(tmp_path, capsys):
+    # The key order of every run record is part of its format: report.json,
+    # the verify document and both sweep files must keep these layouts.
+    config_path = _write(tmp_path, "run.cfg", CONSTANT_CONFIG)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config_path), "--axis", "lambda"]
+    assert main(argv + ["--values", "1,8", "--out", str(out)]) == 0
+
+    report = json.loads((out / "lambda_8" / "report.json").read_text())
+    assert _key_paths(report) == [
+        "format_version",
+        "config",
+        "config.n",
+        "config.rank",
+        "config.degrees",
+        "config.preset",
+        "config.amplitude",
+        "config.modes",
+        "config.lam",
+        "config.alpha0",
+        "config.dt0",
+        "config.dt_floor",
+        "config.newton_tol",
+        "config.cone_floor",
+        "config.out_dir",
+        "lambda",
+        "alpha0",
+        "cone_floor",
+        "reached_t1",
+        "breakdown_t",
+        "breakdown_reason",
+        "min_f_overall",
+        "steps",
+    ]
+    assert report["config"]["degrees"] == [1, 3]
+    assert report["config"]["modes"] == [[1, 1]]
+    step_keys = ["t", "snapshot", "wall_seconds", "newton"]
+    step_keys += ["newton." + k for k in _NEWTON_KEYS] + ["diagnostics"]
+    step_keys += ["diagnostics." + k for k in _DIAGNOSTICS_KEYS]
+    assert all(_key_paths(step) == step_keys for step in report["steps"])
+
+    snap = out / "lambda_8" / report["steps"][-1]["snapshot"]
+    capsys.readouterr()
+    assert main(["verify", "--snapshot", str(snap), "--config", str(config_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert _key_paths(doc) == [
+        "snapshot",
+        "t",
+        "residual_sup",
+        "diagnostics",
+        *("diagnostics." + k for k in _DIAGNOSTICS_KEYS),
+        "failures",
+        "passed",
+    ]
+
+    rows = json.loads((out / "sweep_report.json").read_text())
+    assert [_key_paths(row) for row in rows] == [_SWEEP_KEYS, _SWEEP_KEYS]
+    failure, success = rows
+    assert failure["exit_code"] == 1 and failure["final_t"] is None
+    assert success["exit_code"] == 0 and success["error"] is None
+    with open(out / "sweep_summary.csv", newline="") as fh:
+        header, *csv_rows = csv.reader(fh)
+    assert header == _SWEEP_KEYS
+    assert csv_rows == [
+        ["lambda", "1", failure["dir"], "1", "False", "", "", "", failure["error"]],
+        ["lambda", "8", success["dir"], "0", "True", "", "1.0", str(success["final_min_f"]), ""],
+    ]

@@ -100,8 +100,8 @@ def test_run_diagnostics_passes_on_march_states(grid16):
         assert diag.passed
         assert diag.trace_sup <= 1e-10
         assert np.max(diag.identity_errors) <= 1e-6
-        assert diag.uy_violation <= diag.uy_tol
-        assert diag.cone_margin >= diag.cone_floor
+        assert diag.uy_violation <= diag.thresholds["uy"]
+        assert diag.cone_margin >= diag.thresholds["cone_floor"]
 
 
 def test_run_diagnostics_flags_corruption(grid16, constant_setup):
