@@ -3,11 +3,18 @@
 The continuation is a predictor-corrector loop with an adaptive step: the
 predictor is the previous accepted state, the corrector is the damped Newton
 solve at the new t.  A step whose Newton solve was fast (at most
-_FAST_ITERS iterations) and which did not follow a rejection doubles the
-t-increment, up to the length 1 of the t-range; a rejected step halves the
-increment it actually tried, down to params.dt_floor.  A rejection at the floor is a
+_FAST_ITERS iterations) and which did not follow a rejection grows the
+t-increment: straight to the rest of the range when the accepted state,
+taken to t=1, still clears the cone floor, and otherwise by doubling, up to
+the length 1 of the t-range.  A rejected step halves the increment it
+actually tried, down to params.dt_floor.  A rejection at the floor is a
 recorded breakdown, not an error, because losing the cone before t=1 is a
 meaningful outcome (it is the expected behaviour for non-ample data).
+
+The jump to t=1 never fires when some degree d_i <= 0: on an accepted state
+the integral identity makes the mean of M_i at t=1 equal d_i/deg(E) <= 0
+(to within the identity tolerance), so its minimum is below the positive
+cone floor.  Non-ample marches therefore take the doubling path alone.
 
 For wiggle-free specs the whole t-family is known in closed form, which is
 the workhorse oracle of the test suite: with d = deg(E) and constant
@@ -49,7 +56,7 @@ from .solvers import (
 logger = logging.getLogger(__name__)
 
 # Step control: an accepted step whose Newton solve took at most _FAST_ITERS
-# iterations multiplies the t-increment by _GROW_FACTOR.
+# iterations jumps to t=1 or multiplies the t-increment by _GROW_FACTOR.
 _GROW_FACTOR = 2.0
 _FAST_ITERS = 3
 
@@ -144,12 +151,15 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     Starts from the exact t=0 construction and tries t + dt (clamped to 1)
     with dt = params.dt0, correcting with Newton from the previous accepted
     state.  An accepted step whose Newton solve took at most _FAST_ITERS
-    iterations, and whose previous attempt was not rejected, doubles dt up
-    to 1.  A rejected attempt sets dt to half the step it tried, but not
-    below params.dt_floor; when an attempt at the floor fails the
-    march stops, recording the last accepted t as the breakdown time and the
-    attempt's rejection class as the breakdown reason.  Every accepted
-    state passed Newton at tolerance and the full diagnostics battery.
+    iterations, and whose previous attempt was not rejected, grows dt: to
+    1 - t when the accepted state's cone margin minus alpha0 (1 - t), its
+    margin at t=1, is at least the cone floor, and otherwise to twice dt, up
+    to 1.  A failed jump is an ordinary rejection.  A rejected attempt sets
+    dt to half the step it tried, but not below params.dt_floor; when an
+    attempt at the floor fails the march stops, recording the last accepted
+    t as the breakdown time and the attempt's rejection class as the
+    breakdown reason.  Every accepted state passed Newton at tolerance and
+    the full diagnostics battery.
     """
     curv = build_curvature(spec, grid)
     t0_state, params = solve_t0(curv, params)
@@ -189,7 +199,13 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
                 t, report.final_residual, diag.cone_margin, report.iterations,
             )
             if report.iterations <= _FAST_ITERS and not after_rejection:
-                dt = min(_GROW_FACTOR * dt, 1.0)
+                # Each cone factor falls at rate alpha0 in t, so this is the
+                # margin the predictor (the accepted state) has at t=1.
+                margin_at_1 = diag.cone_margin - params.alpha0 * (1.0 - t)
+                if margin_at_1 >= params.cone_floor_value:
+                    dt = 1.0 - t
+                else:
+                    dt = min(_GROW_FACTOR * dt, 1.0)
             after_rejection = False
         else:
             if step <= params.dt_floor:

@@ -124,6 +124,11 @@ def test_parse_config_dt0_past_t_range(tmp_path):
         (BASE + "tol.cone_floor=0\n", "positive when given"),
         ("grid.n=abc\nbundle.r=2\nbundle.degrees=1,3\n", "integer"),
         (BASE + "bundle.perturbation.modes=1\n", "kx,ky"),
+        (BASE + "bundle.perturbation.modes=2,0\n", "modes needs preset = cosine"),
+        (
+            BASE + "bundle.perturbation.preset=cosine\nbundle.perturbation.modes=2,0\n",
+            "modes needs preset = cosine",
+        ),
         (BASE + "params.mu=1\n", "unknown"),
         (BASE + "params.alpha0=nan\n", "finite"),
         (BASE + "params.alpha0=inf\n", "finite"),
@@ -148,14 +153,14 @@ def _valid_values(draw):
         st.lists(st.integers(-5, 9), min_size=2, max_size=4).filter(lambda d: sum(d) > 0)
     )
     mode = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(lambda m: m != (0, 0))
-    preset = draw(st.sampled_from(["none", "cosine"]))
-    # A nonzero amplitude needs the cosine preset.
-    amplitude = draw(st.floats(-2.0, 2.0)) if preset == "cosine" else 0.0
+    # Every key is present, modes included, and modes need nonconstant data:
+    # the cosine preset with a nonzero amplitude.
+    amplitude = draw(st.floats(-2.0, 2.0).filter(lambda a: a != 0.0))
     return {
         "grid.n": ("n", 2 ** draw(st.integers(3, 8))),
         "bundle.r": ("rank", len(degrees)),
         "bundle.degrees": ("degrees", tuple(degrees)),
-        "bundle.perturbation.preset": ("preset", preset),
+        "bundle.perturbation.preset": ("preset", "cosine"),
         "bundle.perturbation.amplitude": ("amplitude", amplitude),
         "bundle.perturbation.modes": (
             "modes",
@@ -262,6 +267,40 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, r, n, t, data):
     assert (meta["n"], meta["r"], meta["degrees"]) == (n, r, (1,) * r)
 
 
+def _per_value_snapshot_text(state, lam, alpha0, degrees) -> str:
+    """The snapshot text written one format(x, ".17g") call per value."""
+
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    header = (
+        f"DEMAILLY-FIELD v1 n={state.grid.n} r={state.rank} t={fmt(state.t)} "
+        f"lambda={fmt(lam)} alpha0={fmt(alpha0)} degrees={','.join(map(str, degrees))}"
+    )
+    lines = [header]
+    for block in [state.f] + [state.u[i] for i in range(state.rank)]:
+        for row in block:
+            lines.append(" ".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    r=st.integers(1, 3),
+    n=st.sampled_from([8, 16]),
+    t=st.sampled_from([0.0, -0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_snapshot_bytes_match_per_value_writer(tmp_path_factory, r, n, t, data):
+    f = data.draw(hnp.arrays(np.float64, (n, n), elements=_snapshot_floats))
+    u = data.draw(hnp.arrays(np.float64, (r, n, n), elements=_snapshot_floats))
+    state = State(make_grid(n, float(r)), f, u, t)
+    path = tmp_path_factory.mktemp("snap") / "state.snap"
+    save_snapshot(path, state, 8.0, 10.0, (1,) * r)
+    expected = _per_value_snapshot_text(state, 8.0, 10.0, (1,) * r)
+    assert path.read_bytes() == expected.encode()
+
+
 def test_snapshot_version_error(tmp_path):
     state, params = _t0_state()
     path = tmp_path / "state.snap"
@@ -307,15 +346,15 @@ def test_run_solve_constant(tmp_path):
     out = tmp_path / "run"
     assert run_solve(config, out) == 0
     summary = (out / "summary.csv").read_text().splitlines()
-    assert len(summary) == 7  # header + 6 accepted states
+    assert len(summary) == 4  # header + 3 accepted states
     assert summary[0].startswith("t,min_f,max_f,cone_margin,newton_iterations,")
     report = json.loads((out / "report.json").read_text())
     assert report["reached_t1"] is True
     assert report["breakdown_t"] is None
     assert report["breakdown_reason"] is None
-    assert len(report["steps"]) == 6
+    assert [step["t"] for step in report["steps"]] == [0.0, 0.05, 1.0]
     assert all(step["newton"]["krylov_failures"] == 0 for step in report["steps"])
-    assert len(list((out / "snapshots").glob("*.snap"))) == 6
+    assert len(list((out / "snapshots").glob("*.snap"))) == 3
 
 
 def test_run_solve_deterministic(tmp_path):
@@ -342,7 +381,7 @@ def test_main_exit_codes_solve_and_verify(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
 
-    snap = out / "snapshots" / "state_0003.snap"
+    snap = out / "snapshots" / "state_0001.snap"
     assert main(["verify", "--snapshot", str(snap), "--config", str(config_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
@@ -465,7 +504,7 @@ def test_verify_diagnostics_reproducible_from_snapshot(tmp_path):
     out = tmp_path / "run"
     run_solve(config, out)
     report = json.loads((out / "report.json").read_text())
-    step = report["steps"][3]
+    step = report["steps"][1]
     state, meta = load_snapshot(out / step["snapshot"])
     grid = make_grid(config.n, float(sum(config.degrees)))
     curv = build_curvature(BundleSpec(config.degrees), grid)

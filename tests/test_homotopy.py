@@ -1,13 +1,18 @@
 """Continuation marches and the constant-data closed form."""
 
 
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demlab import homotopy
 from demlab import (
     BundleSpec,
     DemaillyParams,
+    MaxIterationsError,
     closed_form_state,
     build_curvature,
     make_grid,
@@ -67,10 +72,9 @@ def test_march_constant_data_matches_closed_form(grid16):
     report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid16)
     assert report.reached_t1
     assert report.breakdown_t is None
-    assert len(report.steps) == 6  # t = 0, 0.05, 0.15, 0.35, 0.75, 1.0
-    ts = report.accepted_ts
-    assert ts[0] == 0.0 and ts[-1] == 1.0
-    assert np.all(np.diff(ts) > 0)
+    # The state at 0.05 clears the cone at t=1 (margin 0.25), so the march
+    # jumps there.
+    assert report.accepted_ts == [0.0, 0.05, 1.0]
     worst = max(
         state_distance(s.state, closed_form_state(spec, report.params, grid16, s.t))
         for s in report.steps
@@ -130,25 +134,93 @@ def test_march_non_ample_breakdown(grid16):
     assert residual_sup(r_f, r_u) <= 1e-9
 
 
+def test_march_non_ample_path_untouched():
+    # No accepted state of a non-ample march is admissible at t=1, so the
+    # jump never fires and the march keeps the doubling-and-halving path.
+    grid = make_grid(64, 4.0)
+    report = march(BundleSpec((-1, 5)), DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    assert report.accepted_ts == [
+        0.0, 0.05, 0.15000000000000002, 0.35000000000000003, 0.75, 0.875, 0.9375,
+        0.96875, 0.97265625, 0.974609375, 0.974853515625, 0.9749755859375,
+    ]
+    assert sum(step.newton.iterations for step in report.steps) == 73
+    assert report.breakdown_t == 0.9749755859375
+    assert report.breakdown_reason == "cone"
+
+
+@st.composite
+def _non_ample_specs(draw):
+    """Rank 2 or 3 with one degree <= 0, constant or with a cosine wiggle."""
+    low = draw(st.integers(-2, 0))
+    highs = draw(st.lists(st.integers(1, 5), min_size=1, max_size=2))
+    degrees = draw(st.permutations([low] + highs))
+    if sum(degrees) <= 0:
+        degrees = degrees[:-1] + [degrees[-1] + 1 - sum(degrees)]
+    amplitude = draw(st.sampled_from([0.0, 0.05, 0.2]))
+    return BundleSpec.cosine_pair(degrees, amplitude)
+
+
+@settings(deadline=None, max_examples=20)
+@given(spec=_non_ample_specs(), alpha0=st.sampled_from([2.0, 10.0]))
+def test_march_never_jumps_without_ampleness(spec, alpha0):
+    # Every accepted state's cone margin taken to t=1 (each factor falls at
+    # rate alpha0) is below the floor: the condition for the jump fails.  A
+    # coarse dt_floor keeps each march to breakdown short.
+    assert not spec.is_ample
+    grid = make_grid(16, float(spec.degree_sum))
+    params = DemaillyParams(lam=8.0, alpha0=alpha0, dt_floor=1e-2)
+    report = march(spec, params, grid)
+    params = report.params
+    for step in report.steps:
+        margin_at_1 = step.diagnostics.cone_margin - params.alpha0 * (1.0 - step.t)
+        assert margin_at_1 < params.cone_floor_value
+
+
+def test_march_rejected_jump_halves_and_recovers(monkeypatch, caplog):
+    # A jump that fails is an ordinary rejection: the next attempt halves
+    # the step it tried, and the march still reaches t=1.
+    tried = []
+    real = homotopy.newton_at_t
+
+    def fail_first_jump(initial, t, curv, params):
+        tried.append(t)
+        if t == 1.0 and tried.count(1.0) == 1:
+            raise MaxIterationsError("forced failure of the jump")
+        return real(initial, t, curv, params)
+
+    monkeypatch.setattr(homotopy, "newton_at_t", fail_first_jump)
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    with caplog.at_level(logging.DEBUG, logger=homotopy.__name__):
+        report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    halfway = 0.05 + (1.0 - 0.05) / 2
+    assert tried == [0.0, 0.05, 1.0, halfway, 1.0]
+    assert "step to t=1.000000 rejected (max_iters)" in caplog.text
+    assert report.reached_t1
+    assert report.accepted_ts == [0.0, 0.05, halfway, 1.0]
+    assert all(step.diagnostics.passed for step in report.steps)
+
+
 def test_march_readme_case_work_pinned():
-    # The README cosine case at n=32 takes a fixed path: the increment
-    # doubles after every fast step, giving 6 accepted states and 15 Newton
-    # iterations.  Any change to either is a change of behaviour, not of
-    # speed.
+    # The README cosine case at n=32 takes a fixed path: the state at 0.05
+    # is admissible at t=1, so the march jumps there, giving 3 accepted
+    # states and 6 Newton iterations.  Any change to either is a change of
+    # behaviour, not of speed.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
     assert report.reached_t1
     assert report.breakdown_reason is None
-    assert len(report.steps) == 6
-    assert sum(step.newton.iterations for step in report.steps) == 15
+    assert report.accepted_ts == [0.0, 0.05, 1.0]
+    assert sum(step.newton.iterations for step in report.steps) == 6
 
 
 def test_march_fixed_step_path_pinned(monkeypatch):
-    # With growth switched off the README case takes the fixed 0.05 grid
-    # (21 states, 54 Newton iterations) and the (-1, 5) breakdown lands at
-    # the fixed-step t*.
-    monkeypatch.setattr(homotopy, "_GROW_FACTOR", 1.0)
+    # With growth switched off (no Newton solve counts as fast, so neither
+    # the doubling nor the jump to t=1 applies) the README case takes the
+    # fixed 0.05 grid (21 states, 54 Newton iterations) and the (-1, 5)
+    # breakdown lands at the fixed-step t*.
+    monkeypatch.setattr(homotopy, "_FAST_ITERS", -1)
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     params = DemaillyParams(lam=8.0, alpha0=10.0)
@@ -184,9 +256,9 @@ def test_march_stress_corners_match_fixed_step(monkeypatch, amplitude, lam, alph
     params = DemaillyParams(lam=lam, alpha0=alpha0)
     report = march(spec, params, grid)
     assert report.reached_t1
-    assert len(report.steps) == 6
+    assert report.accepted_ts == [0.0, 0.05, 1.0]
     assert tried == report.accepted_ts  # no rejected attempt
-    monkeypatch.setattr(homotopy, "_GROW_FACTOR", 1.0)
+    monkeypatch.setattr(homotopy, "_FAST_ITERS", -1)
     fixed = march(spec, params, grid)
     assert fixed.reached_t1
     assert state_distance(report.final_state, fixed.final_state) <= 1e-7

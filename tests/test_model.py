@@ -402,6 +402,60 @@ def test_residual_permutation_equivariance():
     assert np.max(np.abs(r_u[perm] - r_u_p)) < 1e-12
 
 
+_wiggle_modes = st.lists(
+    st.builds(
+        lambda amplitude, k: CosineMode(amplitude, *k),
+        st.floats(-0.1, 0.1),
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: k != (0, 0)),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def _permuted_specs(draw):
+    """A random spec, its summands' wiggles cancelling, and a permutation."""
+    r = draw(st.integers(2, 4))
+    degrees = draw(
+        st.lists(st.integers(-3, 6), min_size=r, max_size=r).filter(lambda d: sum(d) > 0)
+    )
+    perts = [draw(_wiggle_modes) for _ in range(r - 1)]
+    last = [CosineMode(-m.amplitude, m.kx, m.ky) for mode_list in perts for m in mode_list]
+    spec = BundleSpec(tuple(degrees), tuple(perts) + (tuple(last),))
+    return spec, draw(st.permutations(range(r)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    case=_permuted_specs(),
+    t=st.floats(0.0, 0.8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_residual_equivariant_under_summand_permutation(case, t, seed):
+    # Relabelling the summands permutes the twist residuals the same way and
+    # leaves the determinant residual unchanged up to summation order.
+    spec, perm = case
+    perm = list(perm)
+    grid = make_grid(8, float(spec.degree_sum))
+    rng = np.random.default_rng(seed)
+    # With t <= 0.8 the shift (1-t) alpha0 is at least 2, and these sizes
+    # keep |lap(f)| + e^f |u_i| below 2 on areas down to 1: inside the cone.
+    f = random_band_limited(grid, rng, kmax=2, amplitude=0.005)
+    u = np.stack(
+        [random_band_limited(grid, rng, kmax=2, amplitude=0.2) for _ in range(spec.rank)]
+    )
+    a0 = np.exp(random_band_limited(grid, rng, kmax=2, amplitude=0.5))
+    params = DemaillyParams(lam=8.0, alpha0=10.0, a0=a0)
+    permuted = BundleSpec(
+        tuple(spec.degrees[i] for i in perm), tuple(spec.perturbations[i] for i in perm)
+    )
+    r_f, r_u = residual(State(grid, f, u, t), build_curvature(spec, grid), params)
+    p_f, p_u = residual(State(grid, f, u[perm], t), build_curvature(permuted, grid), params)
+    scale = 1e-13 * (1.0 + residual_sup(r_f, r_u))
+    assert np.max(np.abs(p_f - r_f)) <= scale
+    assert np.max(np.abs(p_u - r_u[perm])) <= scale
+
+
 def test_perturbation_rejects_nonzero_trace():
     with pytest.raises(ValueError, match="trace-free"):
         Perturbation(np.zeros((8, 8)), np.ones((2, 8, 8)))
