@@ -21,7 +21,13 @@ Four layers, bottom up:
   linear systems use the exact Frechet derivative and a constant-coefficient
   spectral preconditioner, solved by restarted GMRES (``krylov.gmres``);
   a direction whose GMRES solve misses its tolerance is still tried and is
-  counted in ``NewtonReport.krylov_failures``.
+  counted in ``NewtonReport.krylov_failures``.  Full steps are additive
+  in (f, u); a rejected full step is damped along the straight line in
+  (f, w) with w_i = e^f u_i, where every cone factor M_i is affine, so a
+  step toward the cone moves each M_i along a straight line.  The first
+  iteration also tries the full step in (f, w) and keeps it when it
+  converges, as it does on constant data, where the system is affine in
+  (f, w) along the branch.
 """
 
 from __future__ import annotations
@@ -359,10 +365,28 @@ def newton_at_t(
     """Damped Newton at fixed t on the reduced unknowns (f, u_1..u_{r-1}).
 
     The last twist log is eliminated through the trace constraint, so every
-    iterate has det g = 1 exactly.  Steps are halved until the cone margin
-    stays at or above the floor and the residual decreases; the potential
-    update is clamped to sup norm 5 per damped step.  Converged means the
-    residual sup norm fell to params.newton_tol within _MAX_ITERS iterations.
+    iterate has det g = 1 exactly.  The Newton direction (df, du) is
+    followed along one of two curves, both with f + alpha df and both
+    keeping the trace of u zero: the u-line u + alpha du, and the w-line
+    w + alpha dw in w = e^f u with dw = e^f (du + u df), that is
+    u = e^(-alpha df) (u + alpha (du + u df)).  The cone factors
+    M_i = lap f + 1/r - w_i + (1-t) alpha0 are affine in (f, w), so along
+    the w-line they move linearly in alpha.
+
+    Each iteration tries the full step along the u-line; when it leaves the
+    cone floor or does not decrease the residual, alpha is halved along the
+    w-line until the cone margin stays at or above the floor and the
+    residual decreases.  The first iteration tries the full w-line step
+    before anything else and keeps it when it converges: on constant data
+    w = -s holds all along the branch and the residual is affine in f at
+    fixed w, so from a solution at another t that step lands on the
+    solution.  Off the constant branch a full w-line step is no better
+    than a full u-line step; on the ample cosine march its last residual
+    lands at the tolerance, so the iteration count would hinge on the
+    amplitude, and the u-line step is kept there.  The direction is
+    clamped to potential sup norm 5 per step.  Converged means the
+    residual sup norm fell to params.newton_tol within _MAX_ITERS
+    iterations.
 
     Raises ConeViolationError (inadmissible initial state at this t),
     NoDescentError (backtracking floor), or MaxIterationsError.
@@ -381,6 +405,19 @@ def newton_at_t(
     margins: list[float] = [margin]
     history: list[float] = [res]
     krylov_failures = 0
+
+    def admissible(f_t, u_t):
+        """The trial with its margin and residuals, or None below the cone floor."""
+        trial = State(grid, f_t, _project_trace(u_t), t)
+        m_t = cone_margin(trial, params)
+        if m_t < floor:
+            return None
+        try:
+            rf_t, ru_t = residual(trial, curv, params)
+        except ConeViolationError:
+            return None
+        return trial, m_t, rf_t, ru_t, residual_sup(rf_t, ru_t)
+
     for it in range(_MAX_ITERS + 1):
         if res <= params.newton_tol:
             report = NewtonReport(
@@ -404,26 +441,28 @@ def newton_at_t(
             scale = _MAX_F_STEP / top
             df_step = df_step * scale
             du_step = du_step * scale
-        alpha = 1.0
-        accepted = None
-        while alpha >= _BACKTRACK_FLOOR:
-            trial = State(
-                grid,
+        # e^-f dw, so the w-line is e^(-alpha df) (u + alpha dw_step).
+        dw_step = du_step + state.u * df_step
+
+        def along_w(alpha):
+            return admissible(
                 state.f + alpha * df_step,
-                _project_trace(state.u + alpha * du_step),
-                t,
+                np.exp(-alpha * df_step) * (state.u + alpha * dw_step),
             )
-            m_t = cone_margin(trial, params)
-            if m_t >= floor:
-                try:
-                    rf_t, ru_t = residual(trial, curv, params)
-                except ConeViolationError:
-                    rf_t = None
-                if rf_t is not None:
-                    res_t = residual_sup(rf_t, ru_t)
-                    if res_t < res:
-                        accepted = (trial, m_t, rf_t, ru_t, res_t, alpha)
-                        break
+
+        accepted = None
+        w_full = along_w(1.0) if it == 0 else None
+        if w_full is not None and w_full[-1] <= params.newton_tol:
+            accepted = (*w_full, 1.0)
+        else:
+            found = admissible(state.f + df_step, state.u + du_step)
+            if found is not None and found[-1] < res:
+                accepted = (*found, 1.0)
+        alpha = 1.0
+        while accepted is None and alpha >= _BACKTRACK_FLOOR:
+            found = w_full if it == 0 and alpha == 1.0 else along_w(alpha)
+            if found is not None and found[-1] < res:
+                accepted = (*found, alpha)
             alpha *= 0.5
         if accepted is None:
             raise NoDescentError(

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demlab import homotopy
+from demlab import homotopy, solvers
 from demlab import (
     BundleSpec,
     DemaillyParams,
     MaxIterationsError,
     closed_form_state,
     build_curvature,
+    cone_margin,
     make_grid,
     march,
+    newton_at_t,
     residual,
     residual_sup,
     solve_t0,
@@ -143,9 +145,79 @@ def test_march_non_ample_path_untouched():
         0.0, 0.05, 0.15000000000000002, 0.35000000000000003, 0.75, 0.875, 0.9375,
         0.96875, 0.97265625, 0.974609375, 0.974853515625, 0.9749755859375,
     ]
-    assert sum(step.newton.iterations for step in report.steps) == 73
+    # Every accepted step converges in one Newton iteration.
+    assert sum(step.newton.iterations for step in report.steps) == 11
     assert report.breakdown_t == 0.9749755859375
     assert report.breakdown_reason == "cone"
+
+
+def test_march_breakdown_sweep_within_derived_bound(monkeypatch):
+    # Criterion 7 across alpha0: the (-1, 5) constant-branch cone zero is
+    # t = 1 - 1/(4 alpha0), and every march must stop for the cone within one
+    # floor step plus the t-offset of the cone floor below it.  3806 GMRES
+    # solves is what the sweep cost when Newton stepped additively in u.
+    solves = []
+    real = solvers.gmres
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "gmres", counted)
+    grid = make_grid(64, 4.0)
+    outside = []
+    for alpha0 in np.linspace(8.0, 12.0, 33):
+        report = march(BundleSpec((-1, 5)), DemaillyParams(lam=8.0, alpha0=alpha0), grid)
+        params = report.params
+        predicted = 1.0 - 1.0 / (4.0 * alpha0)
+        bound = params.dt_floor + params.cone_floor_value / alpha0
+        t_star = report.breakdown_t
+        if (
+            t_star is None
+            or not 0.0 < predicted - t_star <= bound
+            or report.breakdown_reason != "cone"
+        ):
+            outside.append((float(alpha0), t_star, report.breakdown_reason))
+    assert outside == []
+    assert len(solves) <= 3806
+
+
+@st.composite
+def _constant_specs_and_times(draw):
+    """A wiggle-free spec of rank 2-3, an alpha0, and two fractions of its cone range."""
+    degrees = draw(st.lists(st.integers(-2, 5), min_size=2, max_size=3))
+    if sum(degrees) <= 0:
+        degrees[-1] += 1 - sum(degrees)
+    alpha0 = draw(st.sampled_from([2.0, 10.0, 50.0]))
+    fractions = draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True))
+    return BundleSpec(tuple(degrees)), alpha0, sorted(fractions)
+
+
+@settings(deadline=None, max_examples=30)
+@given(case=_constant_specs_and_times())
+def test_newton_w_step_follows_constant_branch(case):
+    # Along the constant branch w = e^f u = -s stays fixed in t, and at fixed
+    # constant w the residual is affine in f.  Newton's first iteration tries
+    # the full step in (f, w), so one iteration from the closed form at t1
+    # lands on the closed form at t2.
+    # Its match is 1e-12 up to two factors: near the cone 1/M_i amplifies the
+    # inexact GMRES solve, and u = -s e^-f carries f's error relative to |u|.
+    spec, alpha0, fractions = case
+    grid = make_grid(8, float(spec.degree_sum))
+    curv = build_curvature(spec, grid)
+    _, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=alpha0))
+    # Keep every cone factor d_i/deg(E) + (1 - t) alpha0 at least 1e-3.
+    rho_min = min(spec.degrees) / spec.degree_sum
+    t_max = min(1.0, 1.0 + (rho_min - 1e-3) / params.alpha0)
+    t1, t2 = (t_max * x for x in fractions)
+    start = closed_form_state(spec, params, grid, t1)
+    sol, report = newton_at_t(start, t2, curv, params)
+    assert report.converged
+    assert report.iterations <= 1
+    exact = closed_form_state(spec, params, grid, t2)
+    scale = max(1.0, 0.1 / cone_margin(exact, params))
+    scale *= max(1.0, float(np.max(np.abs(exact.u))))
+    assert state_distance(sol, exact) <= 1e-12 * scale
 
 
 @st.composite
