@@ -2,12 +2,14 @@
 
 The continuation is a predictor-corrector loop with an adaptive step: the
 predictor is the previous accepted state, the corrector is the damped Newton
-solve at the new t.  A step whose Newton solve was fast (at most
+solve at the new t.  An accepted state whose Newton solve was fast (at most
 _FAST_ITERS iterations) and which did not follow a rejection grows the
-t-increment: straight to the rest of the range when the accepted state,
-taken to t=1, still clears the cone floor, and otherwise by doubling, up to
-the length 1 of the t-range.  A rejected step halves the increment it
-actually tried, down to params.dt_floor.  A rejection at the floor is a
+t-increment: straight to the rest of the range when the state, taken to
+t=1, still clears the cone floor, and otherwise by doubling, up to the
+length 1 of the t-range.  The exact t=0 state (0 iterations, no rejection
+before it) takes the same jump test; when it fails, the first increment is
+params.dt0, not doubled.  A rejected step halves the increment it actually
+tried, down to params.dt_floor.  A rejection at the floor is a
 recorded breakdown, not an error, because losing the cone before t=1 is a
 meaningful outcome (it is the expected behaviour for non-ample data).
 
@@ -145,16 +147,31 @@ def closed_form_state(
     return State(grid, f, u, t)
 
 
+def _may_jump(
+    t: float, report: NewtonReport, diag: DiagnosticsRecord, params: DemaillyParams
+) -> bool:
+    """Whether the next attempt from the state accepted at t goes straight to t=1.
+
+    It does when the state's Newton solve was fast (at most _FAST_ITERS
+    iterations) and the state, taken to t=1, still clears the cone floor.
+    """
+    # Each cone factor falls at rate alpha0 in t, so this is the margin the
+    # predictor (the accepted state) has at t=1.
+    margin_at_1 = diag.cone_margin - params.alpha0 * (1.0 - t)
+    return report.iterations <= _FAST_ITERS and margin_at_1 >= params.cone_floor_value
+
+
 def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     """Adaptive predictor-corrector continuation from t=0 toward t=1.
 
-    Starts from the exact t=0 construction and tries t + dt (clamped to 1)
-    with dt = params.dt0, correcting with Newton from the previous accepted
-    state.  An accepted step whose Newton solve took at most _FAST_ITERS
-    iterations, and whose previous attempt was not rejected, grows dt: to
-    1 - t when the accepted state's cone margin minus alpha0 (1 - t), its
-    margin at t=1, is at least the cone floor, and otherwise to twice dt, up
-    to 1.  A failed jump is an ordinary rejection.  A rejected attempt sets
+    Starts from the exact t=0 construction and tries t + dt (clamped to 1),
+    correcting with Newton from the previous accepted state.  An accepted
+    state whose Newton solve took at most _FAST_ITERS iterations, and whose
+    previous attempt was not rejected, may jump: dt becomes 1 - t when its
+    cone margin minus alpha0 (1 - t), its margin at t=1, is at least the
+    cone floor.  The t=0 state takes this test too, and when it fails the
+    first dt is params.dt0; at a later state dt otherwise doubles, up to 1.
+    A failed jump is an ordinary rejection.  A rejected attempt sets
     dt to half the step it tried, but not below params.dt_floor; when an
     attempt at the floor fails the march stops, recording the last accepted
     t as the breakdown time and the attempt's rejection class as the
@@ -173,7 +190,7 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     steps.append(MarchStep(0.0, state, report, diag, time.perf_counter() - begin))
 
     t = 0.0
-    dt = params.dt0
+    dt = 1.0 if _may_jump(t, report, diag, params) else params.dt0
     after_rejection = False
     breakdown = reason = None
     clock = time.perf_counter()
@@ -198,13 +215,10 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
                 "accepted t=%.6f residual=%.2e margin=%.3e iters=%d",
                 t, report.final_residual, diag.cone_margin, report.iterations,
             )
-            if report.iterations <= _FAST_ITERS and not after_rejection:
-                # Each cone factor falls at rate alpha0 in t, so this is the
-                # margin the predictor (the accepted state) has at t=1.
-                margin_at_1 = diag.cone_margin - params.alpha0 * (1.0 - t)
-                if margin_at_1 >= params.cone_floor_value:
+            if not after_rejection:
+                if _may_jump(t, report, diag, params):
                     dt = 1.0 - t
-                else:
+                elif report.iterations <= _FAST_ITERS:
                     dt = min(_GROW_FACTOR * dt, 1.0)
             after_rejection = False
         else:

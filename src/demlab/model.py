@@ -434,6 +434,8 @@ def l_inverse(a, eta):
     d = a_arr - a_min
     log_eta = np.log(eta_arr)
     x = log_eta / r
+    # Loop-invariant part of the rounding level of h below.
+    noise_base = 1.0 + np.abs(log_eta)
     for _ in range(_L_INVERSE_MAX_ITERS):
         ex = np.exp(x)
         w = ex + d
@@ -441,7 +443,7 @@ def l_inverse(a, eta):
         h = np.sum(logs, axis=0) - log_eta
         x = x - h / np.sum(ex / w, axis=0)
         # Rounding level of h: a few ulps of the logs it sums.
-        noise = 4.0 * _EPS * (1.0 + np.abs(log_eta) + np.sum(np.abs(logs), axis=0))
+        noise = 4.0 * _EPS * (noise_base + np.sum(np.abs(logs), axis=0))
         if np.all(np.abs(h) <= noise):
             break
     else:

@@ -114,14 +114,17 @@ def solve_helmholtz(grid: Grid, c, rhs: ScalarField) -> ScalarField:
     prec = LinearMap(nn, precond)
     b = -rhs.ravel()
     x = np.zeros(nn)
+    # The first round starts from x = 0, where the residual b - matvec(x) is b.
+    r = b
     for _ in range(5):
-        dx, _ = cg(op, b - matvec(x), rtol=1e-13, maxiter=400, M=prec)
+        dx, _ = cg(op, r, rtol=1e-13, maxiter=400, M=prec)
         x = x + dx
         w = x.reshape(n, n)
         res = grid.laplacian(w) - c_arr * w - rhs
         target = 1e-11 * (grid.sup(rhs) + grid.sup(w))
         if grid.sup(res) <= max(target, 1e-300):
             return w
+        r = b - matvec(x)
     raise HelmholtzError(
         f"residual {grid.sup(res):.3e} above target {target:.3e} after refinement"
     )
@@ -231,57 +234,56 @@ def u_step(
     lap_f_in = grid.laplacian(f_in)
 
     def path_residual(cand: np.ndarray, s: float):
+        """The path residual at cand with L^{-1}_A and lap(cand), or Nones out of range."""
         log_eta = lam * cand + log_a0
         if not np.all(np.abs(log_eta) < _LOG_ETA_LIMIT):
-            return None, None
+            return None, None, None
         v = l_inverse(a, np.exp(log_eta))
-        rho = (
-            grid.laplacian(cand)
-            - (1.0 - s) * (cand - f_in + lap_f_in)
-            - s * v
-        )
-        return rho, v
+        lap = grid.laplacian(cand)
+        rho = lap - (1.0 - s) * (cand - f_in + lap_f_in) - s * v
+        return rho, v, lap
 
     def inner_newton(cand: np.ndarray, s: float):
-        rho, v = path_residual(cand, s)
+        """Newton on the path at s: (last iterate, its Laplacian, converged)."""
+        rho, v, lap = path_residual(cand, s)
         if rho is None:
-            return cand, v, False
+            return cand, lap, False
         res = grid.sup(rho)
         for _ in range(30):
             if res <= params.newton_tol:
-                return cand, v, True
+                return cand, lap, True
             coeff = (1.0 - s) + s * _l_inverse_slope(v, a, lam)
             if not (np.all(np.isfinite(coeff)) and np.min(coeff) > 0.0):
-                return cand, v, False
+                return cand, lap, False
             try:
                 delta = solve_helmholtz(grid, coeff, -rho)
             except HelmholtzError:
-                return cand, v, False
+                return cand, lap, False
             top = grid.sup(delta)
             if top > _MAX_F_STEP:
                 delta *= _MAX_F_STEP / top
             step = 1.0
             while step >= _BACKTRACK_FLOOR:
                 trial = cand + step * delta
-                rho_t, v_t = path_residual(trial, s)
+                rho_t, v_t, lap_t = path_residual(trial, s)
                 res_t = np.inf if rho_t is None else grid.sup(rho_t)
                 if res_t < res:
-                    cand, rho, v, res = trial, rho_t, v_t, res_t
+                    cand, rho, v, lap, res = trial, rho_t, v_t, lap_t, res_t
                     break
                 step *= 0.5
             else:
-                return cand, v, False
-        return cand, v, res <= params.newton_tol
+                return cand, lap, False
+        return cand, lap, res <= params.newton_tol
 
     cand = f_in.copy()
     s = 0.0
     ds = 1.0
     while s < 1.0:
         s_try = min(s + ds, 1.0)
-        trial, v, ok = inner_newton(cand, s_try)
+        trial, lap, ok = inner_newton(cand, s_try)
         if ok:
             # Admissibility of the shifted-determinant argument along the path.
-            gap = float(np.min(grid.laplacian(trial)[None, :, :] + a))
+            gap = float(np.min(lap[None, :, :] + a))
             ok = gap > 0.0
         if ok:
             cand, s = trial, s_try

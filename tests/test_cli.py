@@ -346,15 +346,15 @@ def test_run_solve_constant(tmp_path):
     out = tmp_path / "run"
     assert run_solve(config, out) == 0
     summary = (out / "summary.csv").read_text().splitlines()
-    assert len(summary) == 4  # header + 3 accepted states
+    assert len(summary) == 3  # header + 2 accepted states
     assert summary[0].startswith("t,min_f,max_f,cone_margin,newton_iterations,")
     report = json.loads((out / "report.json").read_text())
     assert report["reached_t1"] is True
     assert report["breakdown_t"] is None
     assert report["breakdown_reason"] is None
-    assert [step["t"] for step in report["steps"]] == [0.0, 0.05, 1.0]
+    assert [step["t"] for step in report["steps"]] == [0.0, 1.0]
     assert all(step["newton"]["krylov_failures"] == 0 for step in report["steps"])
-    assert len(list((out / "snapshots").glob("*.snap"))) == 3
+    assert len(list((out / "snapshots").glob("*.snap"))) == 2
 
 
 def test_run_solve_deterministic(tmp_path):

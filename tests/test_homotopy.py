@@ -74,9 +74,9 @@ def test_march_constant_data_matches_closed_form(grid16):
     report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid16)
     assert report.reached_t1
     assert report.breakdown_t is None
-    # The state at 0.05 clears the cone at t=1 (margin 0.25), so the march
-    # jumps there.
-    assert report.accepted_ts == [0.0, 0.05, 1.0]
+    # The t=0 state clears the cone at t=1 (margin 0.25), so the march jumps
+    # there.
+    assert report.accepted_ts == [0.0, 1.0]
     worst = max(
         state_distance(s.state, closed_form_state(spec, report.params, grid16, s.t))
         for s in report.steps
@@ -250,7 +250,8 @@ def test_march_never_jumps_without_ampleness(spec, alpha0):
 
 def test_march_rejected_jump_halves_and_recovers(monkeypatch, caplog):
     # A jump that fails is an ordinary rejection: the next attempt halves
-    # the step it tried, and the march still reaches t=1.
+    # the step it tried, and the march still reaches t=1.  The t=0 state
+    # jumps, so the halved step is 0.5.
     tried = []
     real = homotopy.newton_at_t
 
@@ -265,26 +266,74 @@ def test_march_rejected_jump_halves_and_recovers(monkeypatch, caplog):
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     with caplog.at_level(logging.DEBUG, logger=homotopy.__name__):
         report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
-    halfway = 0.05 + (1.0 - 0.05) / 2
-    assert tried == [0.0, 0.05, 1.0, halfway, 1.0]
+    assert tried == [0.0, 1.0, 0.5, 1.0]
     assert "step to t=1.000000 rejected (max_iters)" in caplog.text
     assert report.reached_t1
-    assert report.accepted_ts == [0.0, 0.05, halfway, 1.0]
+    assert report.accepted_ts == [0.0, 0.5, 1.0]
     assert all(step.diagnostics.passed for step in report.steps)
 
 
+class _StopMarch(Exception):
+    """Ends a march after its first attempt past t=0."""
+
+
+@pytest.mark.parametrize("dt0", [DemaillyParams.dt0, 0.1])
+@pytest.mark.parametrize(
+    "spec, lam, alpha0",
+    [
+        (BundleSpec((-1, 5)), 8.0, 10.0),
+        (BundleSpec.cosine_pair((1, 3), 3.0), 4.0, 2.0),
+    ],
+    ids=["non-ample", "strong-wiggle"],
+)
+def test_march_first_step_is_dt0_without_t0_jump(monkeypatch, spec, lam, alpha0, dt0):
+    # When the t=0 state fails the jump test, the first attempt after t=0 is
+    # t = dt0: the increment is neither grown nor doubled at t=0.
+    tried = []
+    real = homotopy.newton_at_t
+
+    def stop_after_first_attempt(initial, t, curv, params):
+        tried.append(t)
+        if len(tried) == 2:
+            raise _StopMarch
+        return real(initial, t, curv, params)
+
+    monkeypatch.setattr(homotopy, "newton_at_t", stop_after_first_attempt)
+    grid = make_grid(32, float(spec.degree_sum))
+    params = DemaillyParams(lam=lam, alpha0=alpha0, dt0=dt0)
+    curv = build_curvature(spec, grid)
+    state0, filled = solve_t0(curv, params)
+    assert cone_margin(state0, filled) - filled.alpha0 < filled.cone_floor_value
+    with pytest.raises(_StopMarch):
+        march(spec, params, grid)
+    assert tried == [0.0, dt0]
+
+
 def test_march_readme_case_work_pinned():
-    # The README cosine case at n=32 takes a fixed path: the state at 0.05
-    # is admissible at t=1, so the march jumps there, giving 3 accepted
-    # states and 6 Newton iterations.  Any change to either is a change of
+    # The README cosine case at n=32 takes a fixed path: the t=0 state is
+    # admissible at t=1, so the march jumps there, giving 2 accepted states
+    # and 4 Newton iterations.  Any change to either is a change of
     # behaviour, not of speed.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
     assert report.reached_t1
     assert report.breakdown_reason is None
-    assert report.accepted_ts == [0.0, 0.05, 1.0]
-    assert sum(step.newton.iterations for step in report.steps) == 6
+    assert report.accepted_ts == [0.0, 1.0]
+    assert sum(step.newton.iterations for step in report.steps) == 4
+
+
+@pytest.mark.parametrize("amplitude", np.linspace(0.1, 0.3, 9))
+def test_march_ample_amplitudes_jump_from_t0(amplitude):
+    # Over the benchmark's amplitude range the t=0 state jumps to t=1, and
+    # the t=1 solve ends far below the tolerance, so the iteration count
+    # does not hinge on where its last residual lands.
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), float(amplitude))
+    report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    assert report.accepted_ts == [0.0, 1.0]
+    assert sum(step.newton.iterations for step in report.steps) == 4
+    assert report.steps[-1].newton.final_residual <= report.params.newton_tol / 50
 
 
 def test_march_fixed_step_path_pinned(monkeypatch):
@@ -328,12 +377,14 @@ def test_march_stress_corners_match_fixed_step(monkeypatch, amplitude, lam, alph
     params = DemaillyParams(lam=lam, alpha0=alpha0)
     report = march(spec, params, grid)
     assert report.reached_t1
-    assert report.accepted_ts == [0.0, 0.05, 1.0]
+    assert report.accepted_ts == [0.0, 1.0]
     assert tried == report.accepted_ts  # no rejected attempt
     monkeypatch.setattr(homotopy, "_FAST_ITERS", -1)
     fixed = march(spec, params, grid)
     assert fixed.reached_t1
-    assert state_distance(report.final_state, fixed.final_state) <= 1e-7
+    # 10x the worst distance over the 8 corners (1.8e-10, amplitude 0.2,
+    # lambda 2.5, alpha0 100).
+    assert state_distance(report.final_state, fixed.final_state) <= 2e-9
 
 
 def test_march_records_wall_clock(grid16):

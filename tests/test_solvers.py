@@ -9,6 +9,7 @@ from demlab import (
     BundleSpec,
     ConeViolationError,
     DemaillyParams,
+    Grid,
     HelmholtzError,
     MaxIterationsError,
     PathStallError,
@@ -442,3 +443,23 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
     monkeypatch.undo()
     newton = march(spec, replace(params, dt0=1.0), grid).final_state
     assert state_distance(state, newton) <= 1e-8
+
+
+def test_picard_step_laplacian_count_pinned(monkeypatch):
+    # The first Picard step of the README case at n=32, from the t=0 state
+    # taken to t=1, takes 54 Laplacians.  The count rises when a Helmholtz
+    # solve takes the Laplacian of its zero start, or when u_step's
+    # admissibility check recomputes the Laplacian of its last path residual.
+    grid = make_grid(32, 4.0)
+    curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
+    state0, filled = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    calls = []
+    real = Grid.laplacian
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(Grid, "laplacian", counted)
+    picard_step(State(grid, state0.f, state0.u, 1.0), curv, filled)
+    assert len(calls) == 54
