@@ -410,7 +410,12 @@ def l_inverse(a, eta):
     eta must be positive and finite.  The root satisfies v + a_i > 0 for
     every i and is strictly increasing in eta.  Scalar inputs return a float.
 
-    Newton runs in x = log(v + a_min) with d_i = a_i - a_min >= 0, on
+    At rank 2 the map is a quadratic in x = v + a_min: with d = a_max - a_min,
+    x (x + d) = eta, whose positive root is taken in the cancellation-free
+    form x = 2 eta / (d + hypot(d, 2 sqrt(eta))), finite for |log eta| < 700.
+
+    At every other rank Newton runs in x = log(v + a_min) with
+    d_i = a_i - a_min >= 0, on
 
         h(x) = sum_i log(e^x + d_i) - log(eta),
 
@@ -418,9 +423,9 @@ def l_inverse(a, eta):
     It starts from x = log(eta) / r, where h >= 0, so the iterates decrease
     monotonically to the root and every factor e^x + d_i stays positive.  The
     iteration stops once h is at its rounding level; reaching the iteration
-    cap raises RuntimeError.  When e^x is below the rounding of a_min the
-    returned v is the next float above -a_min, the nearest value with every
-    v + a_i > 0.
+    cap raises RuntimeError.  At every rank, when v + a_min is below the
+    rounding of a_min the returned v is the next float above -a_min, the
+    nearest value with every v + a_i > 0.
     """
     a_arr = np.asarray(a, dtype=float)
     if a_arr.ndim == 0:
@@ -431,9 +436,18 @@ def l_inverse(a, eta):
         raise ValueError("eta must be positive and finite")
     r = a_arr.shape[0]
     a_min = np.min(a_arr, axis=0)
-    d = a_arr - a_min
-    log_eta = np.log(eta_arr)
-    x = log_eta / r
+    if r == 2:
+        d = np.max(a_arr, axis=0) - a_min
+        x = 2.0 * eta_arr / (d + np.hypot(d, 2.0 * np.sqrt(eta_arr)))
+    else:
+        x = np.exp(_l_inverse_log_newton(a_arr - a_min, np.log(eta_arr)))
+    v = np.maximum(x - a_min, np.nextafter(-a_min, np.inf))
+    return float(v) if scalar else v
+
+
+def _l_inverse_log_newton(d, log_eta):
+    """The root x = log(v + a_min) of h in ``l_inverse``, by Newton from log(eta) / r."""
+    x = log_eta / d.shape[0]
     # Loop-invariant part of the rounding level of h below.
     noise_base = 1.0 + np.abs(log_eta)
     for _ in range(_L_INVERSE_MAX_ITERS):
@@ -445,10 +459,7 @@ def l_inverse(a, eta):
         # Rounding level of h: a few ulps of the logs it sums.
         noise = 4.0 * _EPS * (noise_base + np.sum(np.abs(logs), axis=0))
         if np.all(np.abs(h) <= noise):
-            break
-    else:
-        raise RuntimeError(
-            f"l_inverse did not converge in {_L_INVERSE_MAX_ITERS} iterations"
-        )
-    v = np.maximum(np.exp(x) - a_min, np.nextafter(-a_min, np.inf))
-    return float(v) if scalar else v
+            return x
+    raise RuntimeError(
+        f"l_inverse did not converge in {_L_INVERSE_MAX_ITERS} iterations"
+    )

@@ -273,6 +273,30 @@ def test_march_rejected_jump_halves_and_recovers(monkeypatch, caplog):
     assert all(step.diagnostics.passed for step in report.steps)
 
 
+def test_march_records_non_finite_trial_as_no_descent(monkeypatch, caplog):
+    # A Newton direction that is not finite rejects the attempt with reason
+    # no_descent instead of ending the march; the halved step recovers.
+    real = solvers._newton_direction
+    calls = []
+
+    def nan_first_direction(state, *args):
+        df, du, failed = real(state, *args)
+        calls.append(state.t)
+        if len(calls) == 1:
+            return np.full_like(df, np.nan), np.full_like(du, np.nan), failed
+        return df, du, failed
+
+    monkeypatch.setattr(solvers, "_newton_direction", nan_first_direction)
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    with caplog.at_level(logging.DEBUG, logger=homotopy.__name__):
+        report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    assert calls[0] == 1.0
+    assert "step to t=1.000000 rejected (no_descent)" in caplog.text
+    assert report.reached_t1
+    assert report.accepted_ts == [0.0, 0.5, 1.0]
+
+
 class _StopMarch(Exception):
     """Ends a march after its first attempt past t=0."""
 

@@ -207,11 +207,7 @@ def _log_det_gap(v, a, log_eta):
     return np.where(positive, np.sum(logs, axis=0) - log_eta, -np.inf)
 
 
-@settings(deadline=None, max_examples=300)
-@given(inputs=_l_inverse_inputs())
-def test_l_inverse_root_identity_property(inputs):
-    a, log_eta = inputs
-    v = l_inverse(a, np.exp(log_eta))
+def _assert_root_identity(a, log_eta, v):
     w = v + a
     assert np.all(w > 0)
     # Rounding v costs up to a few ulps of |v| + |a_i| in each factor; where
@@ -227,6 +223,13 @@ def test_l_inverse_root_identity_property(inputs):
     assert np.all(_log_det_gap(v + delta, a, log_eta) > 0)
 
 
+@settings(deadline=None, max_examples=300)
+@given(inputs=_l_inverse_inputs())
+def test_l_inverse_root_identity_property(inputs):
+    a, log_eta = inputs
+    _assert_root_identity(a, log_eta, l_inverse(a, np.exp(log_eta)))
+
+
 @settings(deadline=None, max_examples=200)
 @given(inputs=_l_inverse_inputs(), rise=st.floats(1e-9, 1.0))
 def test_l_inverse_monotone_in_eta_property(inputs, rise):
@@ -237,9 +240,38 @@ def test_l_inverse_monotone_in_eta_property(inputs, rise):
 
 
 def test_l_inverse_iteration_cap_raises(monkeypatch):
+    # Rank 3: rank 2 is solved in closed form and never reaches the cap.
     monkeypatch.setattr(model, "_L_INVERSE_MAX_ITERS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        l_inverse([2.0, 3.0], 12.0)
+        l_inverse([2.0, 3.0, 4.0], 60.0)
+
+
+def test_l_inverse_rank_two_runs_no_newton_sweep(monkeypatch):
+    monkeypatch.setattr(model, "_L_INVERSE_MAX_ITERS", 0)
+    assert l_inverse([2.0, 3.0], 12.0) == 1.0
+    assert l_inverse([3.0, 2.0], 12.0) == 1.0
+
+
+def test_l_inverse_rank_two_tiny_root_keeps_relative_precision():
+    # x (x + 1) = 1e-20: the root 1e-20 (1 - 1e-20) cancels to 0 in the
+    # textbook form (sqrt(d^2 + 4 eta) - d) / 2.
+    assert l_inverse([0.0, 1.0], 1e-20) == pytest.approx(1e-20, rel=4 * _EPS, abs=0.0)
+
+
+@pytest.mark.parametrize("log_eta", [-699.0, 699.0])
+@pytest.mark.parametrize("d", [0.0, 1e-300, 1e6, 1e150])
+@pytest.mark.parametrize("a_min", [0.0, -1.5, 2.5])
+def test_l_inverse_rank_two_extremes(log_eta, d, a_min):
+    # The closed form at the ends of the float range of eta and of the
+    # shift gap d = a_max - a_min, in both orders of the shifts.
+    a = np.array([[a_min, a_min + d], [a_min + d, a_min]])
+    log_etas = np.full(2, log_eta)
+    v = l_inverse(a, np.exp(log_etas))
+    assert np.all(np.isfinite(v))
+    # A subnormal factor v + a_i overflows the checker's 1 / w and expm1;
+    # such a point is unresolved and only its bracket is checked.
+    with np.errstate(over="ignore"):
+        _assert_root_identity(a, log_etas, v)
 
 
 def test_l_inverse_rejects_non_finite_eta():

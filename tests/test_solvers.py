@@ -12,6 +12,7 @@ from demlab import (
     Grid,
     HelmholtzError,
     MaxIterationsError,
+    NoDescentError,
     PathStallError,
     State,
     closed_form_state,
@@ -101,6 +102,51 @@ def test_helmholtz_matches_dense_solve(grid16):
     w_dense = np.linalg.solve(dense, rhs.ravel()).reshape(n, n)
     w = solve_helmholtz(grid16, c, rhs)
     assert np.max(np.abs(w - w_dense)) <= 1e-10
+
+
+def _count_cg(monkeypatch):
+    # Wraps solvers.cg; returns the list of each solve's info (0 converged,
+    # 400 at the iteration cap of solve_helmholtz).
+    infos = []
+    real_cg = solvers.cg
+
+    def counted(*args, **kwargs):
+        x, info = real_cg(*args, **kwargs)
+        infos.append(info)
+        return x, info
+
+    monkeypatch.setattr(solvers, "cg", counted)
+    return infos
+
+
+def _wide_coefficient(grid, amplitude):
+    return grid.sample(
+        lambda X, Y: np.exp(amplitude * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y))
+    )
+
+
+def test_helmholtz_stops_refining_without_progress(monkeypatch, grid16):
+    # c spans e^-40 to e^40, beyond what the mean-coefficient preconditioner
+    # lets CG resolve in 400 iterations.  The second round does not halve
+    # the first round's residual, so the solve raises after 2 capped CG
+    # solves instead of running all 5 rounds.
+    infos = _count_cg(monkeypatch)
+    rhs = grid16.sample(lambda X, Y: np.cos(2 * np.pi * X) + 0.5 * np.sin(4 * np.pi * Y))
+    with pytest.raises(HelmholtzError):
+        solve_helmholtz(grid16, _wide_coefficient(grid16, 40.0), rhs)
+    assert infos == [400, 400]
+
+
+def test_helmholtz_keeps_refining_while_rounds_progress(monkeypatch, grid16):
+    # At e^+-35 every CG round hits its cap, but each refinement round at
+    # least halves the residual, and the fifth reaches the target.
+    infos = _count_cg(monkeypatch)
+    c = _wide_coefficient(grid16, 35.0)
+    rhs = grid16.sample(lambda X, Y: np.cos(2 * np.pi * X) + 0.5 * np.sin(4 * np.pi * Y))
+    w = solve_helmholtz(grid16, c, rhs)
+    assert infos == [400] * 5
+    res = grid16.laplacian(w) - c * w - rhs
+    assert grid16.sup(res) <= 1e-11 * (grid16.sup(rhs) + grid16.sup(w))
 
 
 # --------------------------------------------------------------------- t=0
@@ -369,6 +415,22 @@ def test_newton_max_iterations(monkeypatch, constant_setup):
         newton_at_t(start, 0.5, curv, params)
 
 
+def test_newton_rejects_non_finite_trials(monkeypatch, constant_setup):
+    # A NaN direction makes every trial non-finite: each is rejected like a
+    # trial below the cone floor, and backtracking ends in NoDescentError.
+    spec, curv, _, params = constant_setup
+    grid = curv.grid
+    cf = closed_form_state(spec, params, grid, 0.5)
+    start = State(grid, cf.f + grid.sample(lambda X, Y: 0.1 * np.cos(2 * np.pi * X)), cf.u, 0.5)
+
+    def nan_direction(state, *args):
+        return np.full_like(state.f, np.nan), np.full_like(state.u, np.nan), False
+
+    monkeypatch.setattr(solvers, "_newton_direction", nan_direction)
+    with pytest.raises(NoDescentError):
+        newton_at_t(start, 0.5, curv, params)
+
+
 def test_newton_counts_krylov_failures(monkeypatch, constant_setup):
     # The first direction comes from a GMRES cut short (info != 0); Newton
     # still uses it, converges, and reports the failure.
@@ -447,9 +509,11 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
 
 def test_picard_step_laplacian_count_pinned(monkeypatch):
     # The first Picard step of the README case at n=32, from the t=0 state
-    # taken to t=1, takes 54 Laplacians.  The count rises when a Helmholtz
-    # solve takes the Laplacian of its zero start, or when u_step's
-    # admissibility check recomputes the Laplacian of its last path residual.
+    # taken to t=1, takes 53 Laplacians.  The count rises when a Helmholtz
+    # solve takes the Laplacian of its zero start, when u_step's
+    # admissibility check recomputes the Laplacian of its last path residual,
+    # or when an inner Newton recomputes the Laplacian of its start (f_in,
+    # whose Laplacian u_step already holds, or an accepted trial).
     grid = make_grid(32, 4.0)
     curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
     state0, filled = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
@@ -462,4 +526,4 @@ def test_picard_step_laplacian_count_pinned(monkeypatch):
 
     monkeypatch.setattr(Grid, "laplacian", counted)
     picard_step(State(grid, state0.f, state0.u, 1.0), curv, filled)
-    assert len(calls) == 54
+    assert len(calls) == 53
