@@ -90,7 +90,7 @@ def check_bounds(state: State, params: DemaillyParams) -> dict:
     """
     grid = state.grid
     lam = params.lam
-    lap_f = grid.laplacian(state.f)
+    lap_f = state.lap_f
     idx = np.unravel_index(np.argmax(state.f), state.f.shape)
     f_max = float(state.f[idx])
     slack = float(lap_f[idx])

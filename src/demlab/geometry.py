@@ -13,8 +13,10 @@ the area form,
 so it is nonpositive at interior maxima.  All derivatives are computed as
 Fourier multipliers on the half spectrum of real FFTs; band-limited fields
 are therefore differentiated to machine precision, which keeps the test
-tolerances tight.  ``Grid.rfft2`` and ``Grid.irfft2`` hold the only
-transform code (``numpy.fft``).
+tolerances tight.  ``Grid.rfft2`` and ``Grid.irfft2`` hold the transform
+code (``numpy.fft``) of every derivative and solve; only
+``random_band_limited`` calls ``numpy.fft.ifft2`` directly, to draw its
+fields.
 
 A scalar field is a plain ``numpy`` array of shape (n, n) bound to a Grid;
 ``Grid.bind`` enforces the binding (shape and finiteness).

@@ -161,6 +161,15 @@ def _may_jump(
     return report.iterations <= _FAST_ITERS and margin_at_1 >= params.cone_floor_value
 
 
+def _record(state: State) -> State:
+    """The state as kept in the report: f, u and t without the Laplacians.
+
+    Only the predictor of the next attempt needs those, so a long march
+    does not hold three extra fields per accepted state.
+    """
+    return State(state.grid, state.f, state.u, state.t)
+
+
 def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     """Adaptive predictor-corrector continuation from t=0 toward t=1.
 
@@ -179,15 +188,15 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     the full diagnostics battery.
     """
     curv = build_curvature(spec, grid)
-    t0_state, params = solve_t0(curv, params)
+    state, params = solve_t0(curv, params)
     steps: list[MarchStep] = []
 
     begin = time.perf_counter()
-    state, report = newton_at_t(t0_state, 0.0, curv, params)
+    state, report = newton_at_t(state, 0.0, curv, params)
     diag = run_diagnostics(state, curv, params)
     if not diag.passed:
         raise RuntimeError(f"t=0 state failed diagnostics: {diag.failed}")
-    steps.append(MarchStep(0.0, state, report, diag, time.perf_counter() - begin))
+    steps.append(MarchStep(0.0, _record(state), report, diag, time.perf_counter() - begin))
 
     t = 0.0
     dt = 1.0 if _may_jump(t, report, diag, params) else params.dt0
@@ -208,7 +217,7 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
             logger.debug("step to t=%.6f rejected (%s): %s", t_try, reason, exc)
         if reason is None:
             now = time.perf_counter()
-            steps.append(MarchStep(t_try, cand, report, diag, now - clock))
+            steps.append(MarchStep(t_try, _record(cand), report, diag, now - clock))
             clock = now
             state, t = cand, t_try
             logger.info(

@@ -226,6 +226,13 @@ class DemaillyParams:
         return self.a0
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` that cannot be written through."""
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class State:
     """A continuation iterate: potential f, twist logs u_1..u_r, parameter t.
@@ -233,6 +240,13 @@ class State:
     The determinant-one constraint sum_i u_i = 0 is a property of solver
     output, not a construction-time requirement: diagnostics measure it, so
     deliberately broken states (for verification tests) remain expressible.
+
+    ``f`` and ``u`` are read-only views of the arrays passed in, not
+    copies: those arrays keep their own flags, and writing to them after
+    the state is built is not supported, since it would change the state
+    under its kept Laplacians.  ``lap_f`` and ``lap_u`` are taken once, on
+    first use, and kept.  ``at`` moves a state to another t and carries
+    over the Laplacians that still hold.
     """
 
     grid: Grid
@@ -249,12 +263,34 @@ class State:
             raise ValueError("u contains non-finite values")
         if not (0.0 <= self.t <= 1.0):
             raise ValueError(f"t must lie in [0, 1], got {self.t}")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "f", _read_only(f))
+        object.__setattr__(self, "u", _read_only(u))
 
     @property
     def rank(self) -> int:
         return self.u.shape[0]
+
+    @cached_property
+    def lap_f(self) -> ScalarField:
+        """lap(f), read-only."""
+        return _read_only(self.grid.laplacian(self.f))
+
+    @cached_property
+    def lap_u(self) -> np.ndarray:
+        """lap(u_i) stacked, shape (r, n, n), read-only."""
+        return _read_only(self.grid.laplacian(self.u))
+
+    def at(self, t: float, u: np.ndarray) -> "State":
+        """The state (f, u) at parameter t, sharing this state's Laplacians where they hold.
+
+        lap(f) always carries over; lap(u) carries over only when ``u``
+        equals this state's u bit for bit.
+        """
+        moved = State(self.grid, self.f, u, t)
+        moved.__dict__["lap_f"] = self.lap_f
+        if np.array_equal(moved.u.view(np.uint64), self.u.view(np.uint64)):
+            moved.__dict__["lap_u"] = self.lap_u
+        return moved
 
     def trace_sup(self) -> float:
         """Sup norm of sum_i u_i (distance from det g = 1)."""
@@ -296,8 +332,7 @@ def cone_factors(state: State, params: DemaillyParams) -> np.ndarray:
     """The matrix entries M_i = lap(f) + 1/r - e^f u_i + (1-t) alpha0, shape (r, n, n)."""
     if params.alpha0 is None:
         raise ValueError("alpha0 not set")
-    lap_f = state.grid.laplacian(state.f)
-    return lap_f[None, :, :] + cone_shift(state.f, state.u, state.t, params.alpha0)
+    return state.lap_f[None, :, :] + cone_shift(state.f, state.u, state.t, params.alpha0)
 
 
 def cone_margin(state: State, params: DemaillyParams) -> float:
@@ -332,7 +367,7 @@ def residual(
     a0 = params.require_a0()
     m = _admissible_cone_factors(state, params)
     r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - np.log(a0)
-    r_u = state.grid.laplacian(state.u) - curv.s - np.exp(state.f)[None, :, :] * state.u
+    r_u = state.lap_u - curv.s - np.exp(state.f)[None, :, :] * state.u
     return r_f, r_u
 
 
@@ -347,7 +382,8 @@ class Linearization:
 
     Everything that depends only on the state is computed once by
     ``linearize``, so each ``apply_linearization`` costs one stacked
-    Laplacian and pointwise products.  ``m`` holds the cone factors M_i.
+    Laplacian of r fields (df, du_1..du_{r-1}) and pointwise products.
+    ``m`` holds the cone factors M_i.
     """
 
     grid: Grid
@@ -386,16 +422,21 @@ def apply_linearization(
 
     dR_f = sum_i (lap(df) - e^f u_i df - e^f du_i) / M_i - lambda df
     dR_i = lap(du_i) - e^f u_i df - e^f du_i
+
+    Only df and du_1..du_{r-1} are transformed; lap(du_r) is taken as
+    -(lap(du_1) + ... + lap(du_{r-1})), which is exact for trace-free du
+    (bit for bit at rank 2, where it is -lap(du_1)).
     """
     grid = lin.grid
     df = grid.bind(p.df)
     du = np.asarray(p.du, dtype=float)
-    lap = grid.laplacian(np.concatenate([df[None, :, :], du]))
+    lap = grid.laplacian(np.concatenate([df[None, :, :], du[:-1]]))
+    lap_du = np.concatenate([lap[1:], -np.sum(lap[1:], axis=0)[None, :, :]])
     ef_u_df = lin.ef_u * df[None, :, :]
     ef_du = lin.ef[None, :, :] * du
     dm = lap[:1] - ef_u_df - ef_du
     dr_f = np.sum(dm * lin.inv_m, axis=0) - lin.lam * df
-    dr_u = lap[1:] - ef_u_df - ef_du
+    dr_u = lap_du - ef_u_df - ef_du
     return dr_f, dr_u
 
 

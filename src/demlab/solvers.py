@@ -12,7 +12,8 @@ Four layers, bottom up:
 * ``u_step`` / ``v_step``: the two halves of the fixed-point map whose zeros
   are solutions; U resolves the determinant equation for the potential at
   frozen twist (an auxiliary 0 <= s <= 1 continuation from the incoming
-  potential, tried in one step to s = 1 first and halved only on failure),
+  potential, tried in one step to s = 1 first, its step halved on failure
+  and doubled again after each success),
   V resolves the trace-free equations at frozen potential (r-1 Helmholtz
   solves, the last twist log rebuilt from the trace constraint).
   ``picard_step`` applies both and reports the gap.
@@ -226,7 +227,8 @@ def u_step(
         lap(U) = (1-s) (U - f_in + lap(f_in)) + s L^{-1}_A(e^(lambda U) a0),
 
     whose exact solution at s = 0 is U = f_in, only globalizes the solve.
-    The first s-step goes straight to s = 1 and a failed one is halved.  An
+    The first s-step goes straight to s = 1; a failed one is halved and an
+    accepted one doubles the next, up to the whole range.  An
     inner Newton trial whose density e^(lambda U) a0 leaves the floating-point
     range is backtracked, and an inner solve that fails (no decrease, a
     coefficient that is not finite and positive, a Helmholtz solve that
@@ -308,6 +310,7 @@ def u_step(
             ok = gap > 0.0
         if ok:
             cand, lap_cand, s = trial, lap, s_try
+            ds = min(2.0 * ds, 1.0)
         else:
             ds *= 0.5
             if ds < 1e-4:
@@ -412,11 +415,15 @@ def newton_at_t(
     residual sup norm fell to params.newton_tol within _MAX_ITERS
     iterations.
 
+    The initial state moves to t through ``State.at``, so its Laplacians
+    carry over: lap f always, lap u when the trace projection leaves u
+    unchanged, as it does on every state this solver returns.
+
     Raises ConeViolationError (inadmissible initial state at this t),
     NoDescentError (backtracking floor), or MaxIterationsError.
     """
     grid = initial.grid
-    state = State(grid, initial.f, _project_trace(initial.u), t)
+    state = initial.at(t, _project_trace(initial.u))
     floor = params.cone_floor_value
     margin = cone_margin(state, params)
     if margin < floor:

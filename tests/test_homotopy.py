@@ -12,7 +12,9 @@ from demlab import homotopy, solvers
 from demlab import (
     BundleSpec,
     DemaillyParams,
+    Grid,
     MaxIterationsError,
+    State,
     closed_form_state,
     build_curvature,
     cone_margin,
@@ -345,6 +347,62 @@ def test_march_readme_case_work_pinned():
     assert report.breakdown_reason is None
     assert report.accepted_ts == [0.0, 1.0]
     assert sum(step.newton.iterations for step in report.steps) == 4
+
+
+def test_march_laplacian_count_pinned(monkeypatch):
+    # The README case at n=32 takes 36 Laplacians and the (-1, 5) breakdown
+    # at n=16 takes 69.  Each state takes lap f and lap u once and keeps
+    # them; each GMRES matvec transforms df and du_1 only.  The counts rise
+    # when cone_margin, residual, linearize or the diagnostics take their
+    # own Laplacian of f or u, when newton_at_t recomputes the Laplacians of
+    # the state it starts from, or when apply_linearization transforms
+    # du_r as well.
+    calls = []
+    real = Grid.laplacian
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(Grid, "laplacian", counted)
+    params = DemaillyParams(lam=8.0, alpha0=10.0)
+    march(BundleSpec.cosine_pair((1, 3), 0.2), params, make_grid(32, 4.0))
+    assert len(calls) == 36
+    calls.clear()
+    report = march(BundleSpec((-1, 5)), params, make_grid(16, 4.0))
+    assert len(calls) == 69
+    # Only the predictor keeps its Laplacians; the report's states do not.
+    assert not any({"lap_f", "lap_u"} & vars(step.state).keys() for step in report.steps)
+
+
+def _march_record(report):
+    return (
+        report.accepted_ts,
+        [step.newton.iterations for step in report.steps],
+        report.breakdown_t,
+        report.breakdown_reason,
+        report.final_state.f.tobytes() + report.final_state.u.tobytes(),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        (BundleSpec.cosine_pair((1, 3), 0.2), 32),
+        (BundleSpec((-1, 5)), 16),
+        (BundleSpec.cosine_pair((-1, 5), 0.05), 32),
+    ],
+)
+def test_march_cached_laplacians_match_recomputed(monkeypatch, spec, n):
+    # Oracle for the Laplacian cache: with lap f and lap u recomputed on
+    # every access, nothing is shared between states and nothing can be
+    # stale, and the march must come out the same byte for byte.
+    params = DemaillyParams(lam=8.0, alpha0=10.0)
+    grid = make_grid(n, 4.0)
+    cached = _march_record(march(spec, params, grid))
+    monkeypatch.setattr(State, "lap_f", property(lambda s: s.grid.laplacian(s.f)))
+    monkeypatch.setattr(State, "lap_u", property(lambda s: s.grid.laplacian(s.u)))
+    assert _march_record(march(spec, params, grid)) == cached
 
 
 @pytest.mark.parametrize("amplitude", np.linspace(0.1, 0.3, 9))

@@ -515,3 +515,36 @@ def test_state_validation(grid16):
         State(grid16, np.zeros((16, 16)), np.zeros((2, 16, 16)), 1.5)
     with pytest.raises(ValueError):
         State(grid16, np.full((16, 16), np.nan), np.zeros((2, 16, 16)), 0.0)
+
+
+def test_state_fields_and_laplacians_are_read_only(grid16):
+    # A state's Laplacians are taken once and kept, so its fields must not
+    # be written through; the caller's own arrays keep their flags.
+    f = random_band_limited(grid16, np.random.default_rng(5), kmax=2, amplitude=0.1)
+    u = np.stack([f, -f])
+    state = State(grid16, f, u, 0.5)
+    for field in (state.f, state.u, state.lap_f, state.lap_u):
+        with pytest.raises(ValueError, match="read-only"):
+            field[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.u += 1.0
+    assert f.flags.writeable and u.flags.writeable
+
+
+def test_apply_linearization_rank_two_matches_full_transform(grid16):
+    # At rank 2 lap(du_2) is taken as -lap(du_1), which is bit for bit the
+    # transform of du_2 = -du_1.
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    curv = build_curvature(spec, grid16)
+    state, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    rng = np.random.default_rng(61)
+    df = random_band_limited(grid16, rng, kmax=3)
+    du1 = random_band_limited(grid16, rng, kmax=3)
+    lin = linearize(state, curv, params)
+    dr_f, dr_u = apply_linearization(lin, Perturbation(df, np.stack([du1, -du1])))
+    lap = grid16.laplacian(np.stack([df, du1, -du1]))
+    ef_u_df = lin.ef_u * df
+    ef_du = lin.ef * np.stack([du1, -du1])
+    assert np.array_equal(dr_u, lap[1:] - ef_u_df - ef_du)
+    dm = lap[:1] - ef_u_df - ef_du
+    assert np.array_equal(dr_f, np.sum(dm * lin.inv_m, axis=0) - params.lam * df)

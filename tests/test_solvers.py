@@ -329,6 +329,32 @@ def test_u_step_helmholtz_failure_fails_the_s_step(monkeypatch, grid16):
     assert np.min(lap_u[None, :, :] + shifts) > 0.0
 
 
+def test_u_step_grows_the_s_step_after_success(monkeypatch, grid16):
+    # From this far start eleven early s-steps fail, leaving the step near
+    # 5e-4.  An accepted step doubles the next one, so the path reaches s=1
+    # in 82 Helmholtz solves; a step that never grows back needs thousands.
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    curv = build_curvature(spec, grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=40.0, alpha0=50.0))
+    bump = random_band_limited(grid16, np.random.default_rng(0), kmax=2, amplitude=1.0)
+    f_in = state0.f + bump
+    solves = []
+    real_solve = solvers.solve_helmholtz
+
+    def counted_solve(*args):
+        solves.append(1)
+        return real_solve(*args)
+
+    monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    U = u_step(f_in, state0.u, 0.5, curv, params)
+    assert len(solves) <= 100
+    shifts = 0.5 - np.exp(f_in)[None, :, :] * state0.u + 0.5 * params.alpha0
+    lap_u = grid16.laplacian(U)
+    target = l_inverse(shifts, np.exp(40.0 * U) * params.a0)
+    assert np.max(np.abs(lap_u - target)) <= params.newton_tol
+    assert np.min(lap_u[None, :, :] + shifts) > 0.0
+
+
 # ------------------------------------------------------------------- Picard
 
 
@@ -457,6 +483,44 @@ def test_newton_counts_krylov_failures(monkeypatch, constant_setup):
     assert infos[0] != 0 and all(info == 0 for info in infos[1:])
     assert report.krylov_failures == 1
     assert report.summary()["krylov_failures"] == 1
+
+
+def test_newton_does_not_reuse_lap_u_of_unprojected_start(grid16):
+    # The start's u_2 is not -u_1, so newton_at_t projects it away and must
+    # take lap u afresh rather than reuse the start's cached one: its first
+    # residual is the one of a freshly built projected state, which differs
+    # from the start's own.
+    curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    bump = random_band_limited(grid16, np.random.default_rng(3), kmax=2, amplitude=1e-3)
+    start = State(grid16, state0.f, state0.u + np.stack([np.zeros_like(bump), bump]), 0.0)
+    own = residual_sup(*residual(start, curv, params))  # caches the start's lap u
+    _, report = newton_at_t(start, 0.0, curv, params)
+    fresh = State(grid16, start.f, np.stack([start.u[0], -start.u[0]]), 0.0)
+    assert report.residual_history[0] == residual_sup(*residual(fresh, curv, params))
+    assert report.residual_history[0] < 1e-3 * own
+
+
+def test_newton_reuses_the_laplacians_of_a_solver_state(monkeypatch, grid16):
+    # A Newton solution is trace-projected, so a new solve from it shares
+    # its lap f and lap u: at the same t it converges at once, and at a t
+    # where it leaves the cone it is rejected, without a Laplacian either way.
+    curv = build_curvature(BundleSpec((-1, 5)), grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    sol, _ = newton_at_t(state0, 0.0, curv, params)
+    calls = []
+    real = Grid.laplacian
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(Grid, "laplacian", counted)
+    _, report = newton_at_t(sol, 0.0, curv, params)
+    assert report.iterations == 0
+    with pytest.raises(ConeViolationError):
+        newton_at_t(sol, 1.0, curv, params)
+    assert calls == []
 
 
 def test_newton_agrees_with_iterated_picard_at_t0(grid16):
