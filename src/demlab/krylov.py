@@ -11,9 +11,11 @@ Two methods, both started from x = 0 and both reporting ``(x, info)`` with
   preconditioned residual; after each restart the true residual decides,
   and the inner tolerance is rescaled from it: cut by 4 when the inner test
   passed but the true one failed, relaxed by 1.5 otherwise.  One
-  preconditioner application gives |M b|, then one per restart and one per
-  inner step; the operator is applied once per inner step and once per
-  restart for the true residual.
+  preconditioner application gives |M b| and the first cycle's starting
+  vector, then one per later restart and one per inner step; the operator
+  is applied once per inner step and once per restart for the true
+  residual, so M runs exactly as often as A (scipy applies M to b twice,
+  one application more).
 
 Operators and preconditioners are anything with a ``matvec`` method;
 ``LinearMap`` wraps a function and also carries ``shape`` and ``dtype``.
@@ -109,7 +111,9 @@ def gmres(A, b, *, rtol, restart, maxiter, M):
     # The inner loop runs on the preconditioned residual: its tolerance is
     # the outer one carried over through |M b| / |b|, then rescaled per restart.
     ptol_factor = 1.0
-    ptol = float(np.linalg.norm(psolve(b))) * min(ptol_factor, tol / b_norm)
+    # The first cycle starts from r = b, so M b is also its first vector.
+    z = psolve(b)
+    ptol = float(np.linalg.norm(z)) * min(ptol_factor, tol / b_norm)
     if b_norm < tol:
         return x, 0
     presid = 0.0
@@ -117,8 +121,8 @@ def gmres(A, b, *, rtol, restart, maxiter, M):
     h = np.zeros((restart, restart + 1))
     rotations = np.zeros((restart, 2))
     r, r_norm = b, b_norm
-    for _ in range(maxiter):
-        v[0] = psolve(r)
+    for cycle in range(maxiter):
+        v[0] = z if cycle == 0 else psolve(r)
         beta = np.linalg.norm(v[0])
         v[0] *= 1.0 / beta
         g = np.zeros(restart + 1)  # rotated right side of the Hessenberg problem

@@ -2,16 +2,21 @@
 
 ``benchmarks/layers.py`` wraps demlab functions by module and name, and a
 renamed or removed binding would otherwise only surface in a traced bench run.
+It also counts the Newton preconditioner through the ``M`` keyword of
+``solvers.gmres``, so the call shape it relies on is checked here too.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import demlab.cli  # loaded up front: the tracer wraps its bindings too
 import demlab.solvers
+from demlab import BundleSpec, DemaillyParams, State, build_curvature, make_grid
 from demlab.geometry import Grid
+from demlab.krylov import LinearMap
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
@@ -36,3 +41,44 @@ def test_every_traced_binding_is_found_and_restored(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_newton_directions_hand_gmres_a_separate_preconditioner(monkeypatch):
+    # The tracer counts ``solvers.newton_precond`` from the ``M`` keyword of
+    # ``solvers.gmres``.  Each Newton direction must therefore call it with
+    # the preconditioner apart from the operator, and M must run on every
+    # inner step: as often as the operator (per inner step and per restart).
+    solves = []
+    real_gmres = demlab.solvers.gmres
+
+    def spy(A, b, **kwargs):
+        assert kwargs.get("M") is not None
+        calls = Counter()
+
+        def tally(op, key):
+            def matvec(x):
+                calls[key] += 1
+                return op.matvec(x)
+
+            return LinearMap(op.size, matvec)
+
+        out = real_gmres(tally(A, "A"), b, **dict(kwargs, M=tally(kwargs["M"], "M")))
+        solves.append(calls)
+        return out
+
+    directions = []
+    real_direction = demlab.solvers._newton_direction
+
+    def counted_direction(*args):
+        directions.append(1)
+        return real_direction(*args)
+
+    monkeypatch.setattr(demlab.solvers, "gmres", spy)
+    monkeypatch.setattr(demlab.solvers, "_newton_direction", counted_direction)
+    grid = make_grid(16, 4.0)
+    curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
+    state0, params = demlab.solvers.solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    _, report = demlab.solvers.newton_at_t(State(grid, state0.f, state0.u, 1.0), 1.0, curv, params)
+    assert report.converged
+    assert len(solves) == len(directions) == report.iterations > 0
+    assert all(calls["M"] == calls["A"] >= 2 for calls in solves)

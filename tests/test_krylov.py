@@ -90,9 +90,10 @@ def test_gmres_matches_dense_solve(seed, restart):
     assert info == 0
     assert _rel_err(x, np.linalg.solve(a, b)) <= 1e-10
     assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
-    # |M b| once, then per restart and per inner step; the operator runs per
-    # inner step and per restart.
-    assert calls["M"] == calls["A"] + 1
+    # M b once, reused as the first cycle's starting vector, then M per
+    # later restart and per inner step; the operator runs per inner step and
+    # per restart, so the two counts are equal.
+    assert calls["M"] == calls["A"]
     if restart < 30:
         assert calls["A"] > restart + 1  # the restart path was taken
 
@@ -160,7 +161,9 @@ def _capture(monkeypatch, name):
     return systems
 
 
-def _assert_parity(ours, theirs, system):
+def _assert_parity(ours, theirs, system, m_saved=0):
+    # ``m_saved`` is how many fewer preconditioner applications ours makes:
+    # scipy's gmres applies M to b twice, ours once.
     op, b, kwargs = system
     results = []
     for solve in (ours, theirs):
@@ -169,6 +172,7 @@ def _assert_parity(ours, theirs, system):
         x, info = solve(_counted(op, calls, "A"), b, **args)
         results.append((x, info, calls))
     (x, info, calls), (x_ref, info_ref, calls_ref) = results
+    calls_ref["M"] -= m_saved
     assert calls == calls_ref
     assert info == info_ref
     assert _rel_err(x, x_ref) <= 1e-12
@@ -183,7 +187,7 @@ def test_gmres_matches_scipy_on_newton_system(monkeypatch):
     newton_at_t(State(grid, state0.f, state0.u, 0.05), 0.05, curv, params)
     assert systems
     for system in systems:
-        _assert_parity(gmres, sp.gmres, system)
+        _assert_parity(gmres, sp.gmres, system, m_saved=1)
 
 
 def test_cg_matches_scipy_on_variable_helmholtz(monkeypatch):
@@ -209,7 +213,7 @@ def test_gmres_matches_scipy_across_restarts(seed, spread, restart):
     op = LinearMap(30, a.__matmul__)
     prec = LinearMap(30, (np.diag(scale) @ _jacobi(a)).__matmul__)
     system = (op, b, dict(rtol=1e-10, restart=restart, maxiter=300, M=prec))
-    _assert_parity(gmres, sp.gmres, system)
+    _assert_parity(gmres, sp.gmres, system, m_saved=1)
 
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10])

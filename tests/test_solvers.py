@@ -1,6 +1,7 @@
 """Helmholtz kernel, t=0 construction, fixed-point map halves, and Newton."""
 
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from demlab import (
     v_step,
 )
 from demlab import solvers
+from demlab.krylov import LinearMap
 from dataclasses import replace
 
 logger = logging.getLogger(__name__)
@@ -180,6 +182,27 @@ def test_solve_t0_cosine_pair(grid16):
     assert np.max(np.abs(state0.u[1] + direct)) < 1e-12
     r_f, r_u = residual(state0, curv, params)
     assert residual_sup(r_f, r_u) <= 1e-10
+
+
+def test_solve_t0_state_is_trace_projected(monkeypatch):
+    # u_r is rebuilt as -(u_1 + ... + u_{r-1}) bit for bit, so Newton from
+    # the t=0 state keeps the lap f and lap u that solve_t0's residual check
+    # took, and converges at once without a Laplacian.
+    grid = make_grid(16, 6.0)
+    curv = build_curvature(BundleSpec.cosine_pair((1, 2, 3), 0.3, ((1, 1), (2, 0))), grid)
+    state0, params = solve_t0(curv, DemaillyParams(lam=10.0, alpha0=10.0))
+    assert np.array_equal(state0.u[-1], -np.sum(state0.u[:-1], axis=0))
+    calls = []
+    real = Grid.laplacian
+
+    def counted(self, v):
+        calls.append(1)
+        return real(self, v)
+
+    monkeypatch.setattr(Grid, "laplacian", counted)
+    _, report = newton_at_t(state0, 0.0, curv, params)
+    assert report.iterations == 0
+    assert calls == []
 
 
 def test_solve_t0_rejects_small_lambda(grid16):
@@ -483,6 +506,90 @@ def test_newton_counts_krylov_failures(monkeypatch, constant_setup):
     assert infos[0] != 0 and all(info == 0 for info in infos[1:])
     assert report.krylov_failures == 1
     assert report.summary()["krylov_failures"] == 1
+
+
+def _count_gmres_steps(monkeypatch):
+    """Record (operator, preconditioner) applications per GMRES solve."""
+    per_solve = []
+    real = solvers.gmres
+
+    def counted(A, b, **kwargs):
+        calls = Counter()
+
+        def tally(op, key):
+            def matvec(x):
+                calls[key] += 1
+                return op.matvec(x)
+
+            return LinearMap(op.size, matvec)
+
+        out = real(tally(A, "A"), b, **dict(kwargs, M=tally(kwargs["M"], "M")))
+        per_solve.append((calls["A"], calls["M"]))
+        return out
+
+    monkeypatch.setattr(solvers, "gmres", counted)
+    return per_solve
+
+
+def test_newton_preconditioner_exact_on_constant_data(monkeypatch):
+    # On constant data the Jacobian has constant coefficients, so the
+    # preconditioner, the Jacobian at the mean state with its coupling, is
+    # its exact inverse: every GMRES solve of the (-1, 5) march takes one inner step,
+    # plus the restart's true residual.  A preconditioner without the
+    # coupling between f and u takes more.
+    per_solve = _count_gmres_steps(monkeypatch)
+    report = march(BundleSpec((-1, 5)), DemaillyParams(lam=8.0, alpha0=10.0), make_grid(16, 4.0))
+    assert report.breakdown_t == 0.9749755859375
+    assert len(per_solve) == 11
+    assert per_solve == [(2, 2)] * 11
+
+
+_SCHUR_CASES = [
+    (BundleSpec((4,)), lam, alpha0) for lam in (2.5, 40.0) for alpha0 in (2.0, 100.0)
+] + [
+    (BundleSpec.cosine_pair(degrees, amplitude, modes), lam, alpha0)
+    for degrees, modes, lams in (
+        ((1, 3), ((1, 1),), (2.5, 40.0)),
+        ((1, 2, 3), ((1, 1), (2, 0)), (3.5, 40.0)),
+    )
+    for amplitude in (0.2, 2.0)
+    for lam in lams
+    for alpha0 in (2.0, 100.0)
+]
+
+
+@pytest.mark.parametrize(
+    "spec, lam, alpha0", _SCHUR_CASES, ids=[f"r{s.rank}-{i}" for i, (s, _, _) in enumerate(_SCHUR_CASES)]
+)
+def test_newton_schur_symbol_stays_below_minus_lambda(monkeypatch, spec, lam, alpha0):
+    # The stress corners (amplitude 0.2/2, lambda low/40, alpha0 2/100) at
+    # ranks 1-3: at every Newton state of the march, the Schur complement of
+    # the preconditioner's per-mode arrow matrix, formed here from its
+    # entries, is the one the preconditioner divides by, S <= -lambda and
+    # |S| >= |sigma m - lambda| (the symbol without the coupling), all up to
+    # rounding.  The proof is in _mean_jacobian_symbols.
+    seen = []
+    real = solvers._mean_jacobian_symbols
+
+    def spy(lin):
+        inv_schur, twist, b_bar, e_bar = real(lin)
+        inv_m_bar = 1.0 / np.mean(lin.m, axis=(1, 2))
+        a_bar = float(np.mean(lin.ef_u, axis=(1, 2)) @ inv_m_bar)
+        plain = float(np.sum(inv_m_bar)) * lin.grid.laplacian_multiplier - lin.lam
+        arrow = plain - a_bar - float(b_bar @ e_bar) * twist
+        seen.append((1.0 / inv_schur, arrow, plain))
+        return inv_schur, twist, b_bar, e_bar
+
+    monkeypatch.setattr(solvers, "_mean_jacobian_symbols", spy)
+    grid = make_grid(32, float(spec.degree_sum))
+    report = march(spec, DemaillyParams(lam=lam, alpha0=alpha0), grid)
+    assert report.reached_t1
+    assert seen
+    for schur, arrow, plain in seen:
+        assert np.all(np.abs(schur - arrow) <= 1e-13 * np.abs(plain))
+        for s in (schur, arrow):
+            assert np.max(s) <= -lam * (1.0 - 1e-13)
+            assert np.all(np.abs(s) >= np.abs(plain) * (1.0 - 1e-13))
 
 
 def test_newton_does_not_reuse_lap_u_of_unprojected_start(grid16):
