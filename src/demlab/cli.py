@@ -1,8 +1,11 @@
 """Batch front end: config parsing, snapshots, runs, and reports.
 
 Configs are flat ``key = value`` text files with dotted keys; unknown keys
-are errors so that experiment logs stay diff-exact.  Snapshots are plain
-text, one header line plus the field blocks, lossless for 64-bit floats.
+are errors so that experiment logs stay diff-exact.  A snapshot (format v2)
+is one ASCII header line, readable with ``head -1``, then the fields as raw
+little-endian float64, ``8 (r + 1) n^2`` bytes, an exact copy of the state.
+v1 text snapshots are refused; re-running ``demlab solve`` on the run's
+config regenerates them deterministically.
 
 Exit codes: solve returns 0 when t=1 was reached, 2 on a recorded breakdown,
 1 on a config error.  verify returns 0 when the snapshot re-checks clean,
@@ -37,7 +40,7 @@ from .homotopy import MarchReport, march
 from .diagnostics import run_diagnostics
 
 SNAPSHOT_MAGIC = "DEMAILLY-FIELD"
-SNAPSHOT_VERSION = "v1"
+SNAPSHOT_VERSION = "v2"
 
 
 class ConfigError(ValueError):
@@ -235,37 +238,51 @@ def _fmt(x: float) -> str:
 
 
 def save_snapshot(path, state: State, lam: float, alpha0: float, degrees) -> None:
-    """Write one state as text, lossless for 64-bit floats."""
+    """Write one state: the ASCII header line, then the fields as raw bytes.
+
+    The payload is ``f`` and then ``u_1..u_r``, each ``n x n`` in C order,
+    as little-endian float64 on every host: ``8 (r + 1) n^2`` bytes, an
+    exact copy of the state's bits.
+    """
     degrees = tuple(int(d) for d in degrees)
     header = (
         f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} n={state.grid.n} r={state.rank} "
         f"t={_fmt(state.t)} lambda={_fmt(lam)} alpha0={_fmt(alpha0)} "
         f"degrees={','.join(str(d) for d in degrees)}"
     )
-    # One "%.17g" per value over tolist() floats: the bytes of _fmt, faster.
-    row_format = " ".join(["%.17g"] * state.grid.n)
-    rows = np.concatenate([state.f[None], state.u]).reshape(-1, state.grid.n)
-    lines = [header] + [row_format % tuple(row) for row in rows.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    payload = np.concatenate([state.f[None], state.u]).astype("<f8").tobytes()
+    Path(path).write_bytes(header.encode("ascii") + b"\n" + payload)
 
 
 def load_snapshot(path) -> tuple[State, dict]:
     """Read a snapshot back into a State plus its header metadata.
 
-    Raises SnapshotVersionError on a version mismatch,
-    SnapshotDimensionError when the payload does not match the header, and
-    SnapshotParseError on anything else malformed.
+    Raises SnapshotVersionError on a version mismatch (v1 text snapshots
+    included), SnapshotDimensionError when the payload does not match the
+    header, and SnapshotParseError on anything else malformed, non-finite
+    field values included.
     """
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SnapshotParseError(f"cannot read snapshot {path}: {exc}") from None
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    if not data:
         raise SnapshotParseError("empty snapshot file")
-    tokens = lines[0].split()
+    head, newline, payload = data.partition(b"\n")
+    if not newline:
+        raise SnapshotParseError("no newline after the snapshot header")
+    try:
+        header = head.decode("ascii")
+    except UnicodeDecodeError:
+        raise SnapshotParseError(f"non-ASCII snapshot header: {head[:80]!r}") from None
+    tokens = header.split()
     if len(tokens) < 2 or tokens[0] != SNAPSHOT_MAGIC:
-        raise SnapshotParseError(f"bad snapshot header: {lines[0]!r}")
+        raise SnapshotParseError(f"bad snapshot header: {header[:80]!r}")
+    if tokens[1] == "v1":
+        raise SnapshotVersionError(
+            "v1 text snapshots are no longer read; re-running `demlab solve` "
+            "on the run's config regenerates them deterministically"
+        )
     if tokens[1] != SNAPSHOT_VERSION:
         raise SnapshotVersionError(f"unsupported snapshot version {tokens[1]!r}")
     fields: dict[str, str] = {}
@@ -289,29 +306,20 @@ def load_snapshot(path) -> tuple[State, dict]:
         )
     if not (0.0 <= t <= 1.0):
         raise SnapshotParseError(f"t={t} outside [0, 1]")
-    payload = lines[1:]
-    expected = (r + 1) * n
+    expected = 8 * (r + 1) * n * n
     if len(payload) != expected:
         raise SnapshotDimensionError(
-            f"expected {expected} data rows for n={n}, r={r}, found {len(payload)}"
+            f"expected {expected} payload bytes for n={n}, r={r}, found {len(payload)}"
         )
-    rows = []
-    for ln in payload:
-        parts = ln.split()
-        if len(parts) != n:
-            raise SnapshotDimensionError(
-                f"row has {len(parts)} columns, header says n={n}"
-            )
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise SnapshotParseError(f"bad float in payload: {exc}") from None
-    data = np.asarray(rows).reshape(r + 1, n, n)
     try:
         grid = make_grid(n, float(sum(degrees)))
     except ValueError as exc:
         raise SnapshotParseError(f"invalid header geometry: {exc}") from None
-    state = State(grid, data[0], data[1:], t)
+    blocks = np.frombuffer(payload, dtype="<f8").reshape(r + 1, n, n)
+    try:
+        state = State(grid, blocks[0], blocks[1:], t)
+    except ValueError as exc:
+        raise SnapshotParseError(f"bad payload: {exc}") from None
     meta = {"n": n, "r": r, "t": t, "lambda": lam, "alpha0": alpha0, "degrees": degrees}
     return state, meta
 
@@ -419,12 +427,14 @@ def run_verify(snapshot_path, config: RunConfig) -> int:
         )
     failures = []
     try:
-        r_f, r_u = residual(state, curv, params)
+        # A finite snapshot may still overflow e^f; the checks report it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_f, r_u = residual(state, curv, params)
         res = residual_sup(r_f, r_u)
     except ConeViolationError as exc:
         res = float("inf")
         failures.append(f"cone violation: {exc}")
-    if res > params.newton_tol:
+    if not res <= params.newton_tol:
         failures.append(f"residual {res:.3e} exceeds tolerance {params.newton_tol:.1e}")
     diag = run_diagnostics(state, curv, params)
     failures.extend(diag.failed)

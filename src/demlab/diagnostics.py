@@ -55,15 +55,22 @@ AMGM_REL_TOL = 1e-8
 
 
 def check_integral_identity(state: State, curv: CurvatureData) -> np.ndarray:
-    """Per-summand error |integral(e^f u_i omega0) - (deg(E)/r - d_i)|."""
+    """Per-summand error |integral(e^f u_i omega0) - (deg(E)/r - d_i)|.
+
+    The error is inf where e^f u_i overflows on a finite state.
+    """
     grid = state.grid
     r = state.rank
     d = float(sum(curv.degrees))
-    weight = np.exp(state.f)
+    weighted = np.exp(state.f) * state.u
     errors = np.empty(r)
     for i in range(r):
         target = d / r - float(curv.degrees[i])
-        errors[i] = abs(grid.integrate(weight * state.u[i]) - target)
+        try:
+            integral = grid.integrate(weighted[i])
+        except ValueError:  # a non-finite integrand: e^f u_i overflowed
+            integral = np.inf
+        errors[i] = abs(integral - target)
     return errors
 
 
@@ -142,13 +149,18 @@ class DiagnosticsRecord:
 def run_diagnostics(
     state: State, curv: CurvatureData, params: DemaillyParams
 ) -> DiagnosticsRecord:
-    """Full battery on one state, with the standard thresholds."""
-    identity = check_integral_identity(state, curv)
-    uy = check_uy_inequality(state, curv)
+    """Full battery on one state, with the standard thresholds.
+
+    A finite state whose e^f overflows fails the checks it breaks instead
+    of raising or warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        identity = check_integral_identity(state, curv)
+        uy = check_uy_inequality(state, curv)
+        margin = cone_margin(state, params)
+        bounds = check_bounds(state, params)
     s_sup = float(np.max(curv.s_pointwise_norm))
     trace = state.trace_sup()
-    margin = cone_margin(state, params)
-    bounds = check_bounds(state, params)
     thresholds = {
         "identity": IDENTITY_TOL,
         "uy": UY_BASE_TOL * (1.0 + s_sup**2),

@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import demlab
 from demlab import (
     BundleSpec,
     DemaillyParams,
@@ -49,6 +55,12 @@ BASE = "grid.n=16\nbundle.r=2\nbundle.degrees=1,3\n"
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
+    return path
+
+
+def _write_bytes(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
     return path
 
 
@@ -267,20 +279,29 @@ def test_snapshot_round_trip_is_bit_exact(tmp_path_factory, r, n, t, data):
     assert (meta["n"], meta["r"], meta["degrees"]) == (n, r, (1,) * r)
 
 
-def _per_value_snapshot_text(state, lam, alpha0, degrees) -> str:
-    """The snapshot text written one format(x, ".17g") call per value."""
-
+def _header(state, lam, alpha0, degrees, version="v2") -> str:
     def fmt(x):
         return format(float(x), ".17g")
 
-    header = (
-        f"DEMAILLY-FIELD v1 n={state.grid.n} r={state.rank} t={fmt(state.t)} "
+    return (
+        f"DEMAILLY-FIELD {version} n={state.grid.n} r={state.rank} t={fmt(state.t)} "
         f"lambda={fmt(lam)} alpha0={fmt(alpha0)} degrees={','.join(map(str, degrees))}"
     )
-    lines = [header]
-    for block in [state.f] + [state.u[i] for i in range(state.rank)]:
+
+
+def _per_value_snapshot_bytes(state, lam, alpha0, degrees) -> bytes:
+    """The v2 snapshot written one struct.pack("<d", x) call per value."""
+    values = [v for block in [state.f, *state.u] for row in block for v in row]
+    payload = b"".join(struct.pack("<d", v) for v in values)
+    return _header(state, lam, alpha0, degrees).encode() + b"\n" + payload
+
+
+def _v1_snapshot_text(state, lam, alpha0, degrees) -> str:
+    """A snapshot in the retired v1 text layout: 17-digit decimals, n per line."""
+    lines = [_header(state, lam, alpha0, degrees, version="v1")]
+    for block in [state.f, *state.u]:
         for row in block:
-            lines.append(" ".join(fmt(v) for v in row))
+            lines.append(" ".join(format(float(v), ".17g") for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -297,45 +318,66 @@ def test_snapshot_bytes_match_per_value_writer(tmp_path_factory, r, n, t, data):
     state = State(make_grid(n, float(r)), f, u, t)
     path = tmp_path_factory.mktemp("snap") / "state.snap"
     save_snapshot(path, state, 8.0, 10.0, (1,) * r)
-    expected = _per_value_snapshot_text(state, 8.0, 10.0, (1,) * r)
-    assert path.read_bytes() == expected.encode()
+    expected = _per_value_snapshot_bytes(state, 8.0, 10.0, (1,) * r)
+    assert path.read_bytes() == expected
+
+
+def _saved_t0_snapshot(tmp_path):
+    state, params = _t0_state()
+    path = tmp_path / "state.snap"
+    save_snapshot(path, state, params.lam, params.alpha0, (1, 3))
+    return path, state, params
 
 
 def test_snapshot_version_error(tmp_path):
-    state, params = _t0_state()
-    path = tmp_path / "state.snap"
-    save_snapshot(path, state, params.lam, params.alpha0, (1, 3))
-    text = path.read_text().replace("DEMAILLY-FIELD v1", "DEMAILLY-FIELD v2", 1)
-    bad = _write(tmp_path, "v2.snap", text)
-    with pytest.raises(SnapshotVersionError):
-        load_snapshot(bad)
+    path, state, params = _saved_t0_snapshot(tmp_path)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    v3 = _write_bytes(tmp_path, "v3.snap", head.replace(b" v2 ", b" v3 ") + b"\n" + payload)
+    with pytest.raises(SnapshotVersionError, match="'v3'"):
+        load_snapshot(v3)
+    v1 = _write(tmp_path, "v1.snap", _v1_snapshot_text(state, params.lam, params.alpha0, (1, 3)))
+    with pytest.raises(SnapshotVersionError, match="v1 text snapshots.*demlab solve"):
+        load_snapshot(v1)
 
 
-def test_snapshot_dimension_errors(tmp_path):
-    state, params = _t0_state()
-    path = tmp_path / "state.snap"
-    save_snapshot(path, state, params.lam, params.alpha0, (1, 3))
-    lines = path.read_text().splitlines()
-    bad = _write(tmp_path, "wrong_n.snap", "\n".join([lines[0].replace("n=16", "n=32")] + lines[1:]))
+@settings(deadline=None, max_examples=30)
+@given(cut=st.integers(1, 17), extra=st.binary(min_size=1, max_size=17))
+def test_snapshot_dimension_errors(tmp_path_factory, cut, extra):
+    tmp_path = tmp_path_factory.mktemp("snap")
+    path, _, _ = _saved_t0_snapshot(tmp_path)
+    data = path.read_bytes()
+    wrong_n = _write_bytes(tmp_path, "wrong_n.snap", data.replace(b" n=16 ", b" n=32 ", 1))
     with pytest.raises(SnapshotDimensionError):
-        load_snapshot(bad)
-    truncated = _write(tmp_path, "short.snap", "\n".join(lines[:-5]))
-    with pytest.raises(SnapshotDimensionError):
-        load_snapshot(truncated)
+        load_snapshot(wrong_n)
+    # A payload short or long by a few bytes, the last value split included.
+    for name, bad in (("short.snap", data[:-cut]), ("long.snap", data + extra)):
+        with pytest.raises(SnapshotDimensionError, match="payload bytes"):
+            load_snapshot(_write_bytes(tmp_path, name, bad))
+
+
+def _with_value(path, index, value) -> bytes:
+    """The snapshot bytes at ``path`` with payload value ``index`` replaced."""
+    head, _, payload = path.read_bytes().partition(b"\n")
+    values = np.frombuffer(payload, dtype="<f8").copy()
+    values[index] = value
+    return head + b"\n" + values.astype("<f8").tobytes()
 
 
 def test_snapshot_parse_errors(tmp_path):
     with pytest.raises(SnapshotParseError):
         load_snapshot(_write(tmp_path, "garbage.snap", "not a snapshot\n1 2 3\n"))
-    state, params = _t0_state()
-    path = tmp_path / "state.snap"
-    save_snapshot(path, state, params.lam, params.alpha0, (1, 3))
-    lines = path.read_text().splitlines()
-    parts = lines[1].split()
-    parts[0] = "xx"
-    corrupted = _write(tmp_path, "badfloat.snap", "\n".join([lines[0], " ".join(parts)] + lines[2:]))
-    with pytest.raises(SnapshotParseError):
-        load_snapshot(corrupted)
+    path, _, _ = _saved_t0_snapshot(tmp_path)
+    head, _, payload = path.read_bytes().partition(b"\n")
+    with pytest.raises(SnapshotParseError, match="no newline"):
+        load_snapshot(_write_bytes(tmp_path, "no_newline.snap", head))
+    non_ascii = head.replace(b"degrees=1,3", "degrees=1,\u00b3".encode())
+    with pytest.raises(SnapshotParseError, match="non-ASCII"):
+        load_snapshot(_write_bytes(tmp_path, "non_ascii.snap", non_ascii + b"\n" + payload))
+    # Bytes that decode to NaN or +-inf, in f and in a twist log.
+    for index, value in ((0, np.nan), (16 * 16 + 5, np.inf), (3 * 16 * 16 - 1, -np.inf)):
+        corrupted = _write_bytes(tmp_path, "non_finite.snap", _with_value(path, index, value))
+        with pytest.raises(SnapshotParseError, match="non-finite"):
+            load_snapshot(corrupted)
 
 
 # --------------------------------------------------------------------- runs
@@ -400,12 +442,67 @@ def test_main_exit_codes_solve_and_verify(tmp_path, capsys):
     assert "integral_identity" in doc["diagnostics"]["failed"]
 
     # Truncated snapshot: malformed input is exit 1.
-    trunc = _write(tmp_path, "trunc.snap", "\n".join(snap.read_text().splitlines()[:-4]))
+    trunc = _write_bytes(tmp_path, "trunc.snap", snap.read_bytes()[:-100])
     assert main(["verify", "--snapshot", str(trunc), "--config", str(config_path)]) == 1
 
     # Config inconsistent with the snapshot header is exit 1 too.
     other_cfg = _write(tmp_path, "other.cfg", CONSTANT_CONFIG.replace("= 8", "= 9"))
     assert main(["verify", "--snapshot", str(snap), "--config", str(other_cfg)]) == 1
+
+
+COSINE_CONFIG = CONSTANT_CONFIG + """
+bundle.perturbation.preset = cosine
+bundle.perturbation.amplitude = 0.2
+"""
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_verify_non_finite_payload_is_snapshot_error(tmp_path, capsys, value):
+    config_path = _write(tmp_path, "run.cfg", CONSTANT_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    snap = out / "snapshots" / "state_0001.snap"
+    bad = _write_bytes(tmp_path, "bad.snap", _with_value(snap, 7, value))
+    assert main(["verify", "--snapshot", str(bad), "--config", str(config_path)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("snapshot error:") and "non-finite" in error
+
+
+def test_verify_overflowing_weight_is_diagnostic_failure(tmp_path, capsys):
+    # A finite f whose e^f overflows at one point fails the integral identity
+    # (exit 3) instead of raising; no RuntimeWarning escapes.
+    config_path = _write(tmp_path, "run.cfg", COSINE_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    state, meta = load_snapshot(out / "snapshots" / "state_0001.snap")
+    f = state.f.copy()
+    f[3, 5] = 1e3
+    bad = tmp_path / "bad.snap"
+    broken = State(state.grid, f, state.u, state.t)
+    save_snapshot(bad, broken, meta["lambda"], meta["alpha0"], meta["degrees"])
+    assert main(["verify", "--snapshot", str(bad), "--config", str(config_path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert "integral_identity" in doc["diagnostics"]["failed"]
+    assert doc["diagnostics"]["identity_errors"] == [float("inf")] * 2
+
+
+def test_python_m_demlab_solve_and_verify(tmp_path):
+    # The package runs as a module from an uninstalled checkout.
+    config_path = _write(tmp_path, "run.cfg", CONSTANT_CONFIG)
+    src = str(Path(demlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def demlab_cmd(*args):
+        cmd = [sys.executable, "-m", "demlab", *args]
+        return subprocess.run(cmd, env=env, capture_output=True, timeout=120).returncode
+
+    out = tmp_path / "run"
+    assert demlab_cmd("solve", "--config", str(config_path), "--out", str(out)) == 0
+    snap = out / "snapshots" / "state_0001.snap"
+    assert demlab_cmd("verify", "--snapshot", str(snap), "--config", str(config_path)) == 0
 
 
 def test_main_config_error_exit(tmp_path):
