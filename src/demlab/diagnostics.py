@@ -103,7 +103,7 @@ def check_bounds(state: State, params: DemaillyParams) -> dict:
     slack = float(lap_f[idx])
     slack_scale = 1.0 + grid.sup(lap_f)
     lhs = float(np.exp(lam * f_max) * params.require_a0()[idx])
-    factors = cone_shift(f_max, state.u[(slice(None),) + idx], state.t, params.alpha0)
+    factors = cone_shift(np.exp(f_max) * state.u[(slice(None),) + idx], state.t, params.alpha0)
     rhs = float(np.prod(factors))
     return {
         "max_exp_lambda_f": float(np.exp(lam * np.max(state.f))),
@@ -169,19 +169,17 @@ def run_diagnostics(
         "argmax_slack": ARGMAX_SLACK_TOL * bounds["argmax_slack_scale"],
         "amgm": AMGM_REL_TOL,
     }
-    failed = []
-    if float(np.max(identity)) > thresholds["identity"]:
-        failed.append("integral_identity")
-    if uy > thresholds["uy"]:
-        failed.append("uy_inequality")
-    if trace > thresholds["trace"]:
-        failed.append("trace_constraint")
-    if margin < thresholds["cone_floor"]:
-        failed.append("cone_margin")
-    if bounds["argmax_slack"] > thresholds["argmax_slack"]:
-        failed.append("argmax_slack")
-    if bounds["amgm_excess"] > thresholds["amgm"]:
-        failed.append("amgm_bound")
+    # A check passes only when value <= bound holds, so a NaN fails.  The
+    # cone margin is bounded below and enters negated: margin >= floor.
+    checks = (
+        ("integral_identity", float(np.max(identity)), thresholds["identity"]),
+        ("uy_inequality", uy, thresholds["uy"]),
+        ("trace_constraint", trace, thresholds["trace"]),
+        ("cone_margin", -margin, -thresholds["cone_floor"]),
+        ("argmax_slack", bounds["argmax_slack"], thresholds["argmax_slack"]),
+        ("amgm_bound", bounds["amgm_excess"], thresholds["amgm"]),
+    )
+    failed = [name for name, value, bound in checks if not value <= bound]
     return DiagnosticsRecord(
         t=state.t,
         identity_errors=tuple(float(e) for e in identity),

@@ -319,20 +319,21 @@ def state_distance(a: State, b: State) -> float:
     )
 
 
-def cone_shift(f, u, t: float, alpha0: float) -> np.ndarray:
-    """The cone factors without lap(f): 1/r - e^f u_i + (1-t) alpha0.
+def cone_shift(w, t: float, alpha0: float) -> np.ndarray:
+    """The cone factors without lap(f): 1/r - w_i + (1-t) alpha0, with w_i = e^f u_i.
 
-    ``u`` stacks u_1..u_r on its first axis and ``f`` broadcasts against
-    each u_i, so the shift is taken on whole fields or at a single point.
+    ``w`` stacks w_1..w_r on its first axis, so the shift is taken on whole
+    fields or at a single point; callers form w once and reuse it.
     """
-    return 1.0 / len(u) - np.exp(f) * u + (1.0 - t) * alpha0
+    return 1.0 / len(w) - w + (1.0 - t) * alpha0
 
 
 def cone_factors(state: State, params: DemaillyParams) -> np.ndarray:
     """The matrix entries M_i = lap(f) + 1/r - e^f u_i + (1-t) alpha0, shape (r, n, n)."""
     if params.alpha0 is None:
         raise ValueError("alpha0 not set")
-    return state.lap_f[None, :, :] + cone_shift(state.f, state.u, state.t, params.alpha0)
+    w = np.exp(state.f) * state.u
+    return state.lap_f[None, :, :] + cone_shift(w, state.t, params.alpha0)
 
 
 def cone_margin(state: State, params: DemaillyParams) -> float:
@@ -344,31 +345,15 @@ def cone_margin(state: State, params: DemaillyParams) -> float:
     return float(np.min(cone_factors(state, params)))
 
 
-def _admissible_cone_factors(state: State, params: DemaillyParams) -> np.ndarray:
-    """``cone_factors``, raising ConeViolationError at or below the cone floor."""
-    m = cone_factors(state, params)
-    floor = params.cone_floor_value
-    m_min = float(np.min(m))
-    if m_min <= floor:
-        raise ConeViolationError(
-            f"cone margin {m_min:.3e} at or below floor {floor:.3e} (t={state.t})"
-        )
-    return m
-
-
 def residual(
     state: State, curv: CurvatureData, params: DemaillyParams
 ) -> tuple[ScalarField, np.ndarray]:
     """Both residuals at a state: (R_f, stacked R_1..R_r).
 
-    Raises ConeViolationError when any cone factor drops to the floor or
-    below; the log-determinant is not evaluated outside the cone.
+    Raises ConeViolationError unless every cone factor is above the floor
+    (a NaN one is not); the log-determinant is not evaluated outside the cone.
     """
-    a0 = params.require_a0()
-    m = _admissible_cone_factors(state, params)
-    r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - np.log(a0)
-    r_u = state.lap_u - curv.s - np.exp(state.f)[None, :, :] * state.u
-    return r_f, r_u
+    return _evaluate(state, curv, params)[:2]
 
 
 def residual_sup(r_f: ScalarField, r_u: np.ndarray) -> float:
@@ -400,19 +385,35 @@ def linearize(
     """Freeze the derivative of ``residual`` at ``state``.
 
     Raises ConeViolationError when the state is outside the cone, where the
-    derivative of the log-determinant is undefined.  ``curv`` enters the
-    residual only as a constant, so the derivative does not read it.
+    derivative of the log-determinant is undefined.
     """
-    m = _admissible_cone_factors(state, params)
+    return _evaluate(state, curv, params)[2]
+
+
+def _evaluate(
+    state: State, curv: CurvatureData, params: DemaillyParams
+) -> tuple[ScalarField, np.ndarray, Linearization]:
+    """The residuals and the linearization at ``state``, from one set of cone factors.
+
+    e^f, w = e^f u and the M_i are formed once.  Raises ConeViolationError
+    unless every M_i is above the cone floor, so a NaN factor raises too.
+    """
+    a0 = params.require_a0()
+    if params.alpha0 is None:
+        raise ValueError("alpha0 not set")
     ef = np.exp(state.f)
-    return Linearization(
-        grid=state.grid,
-        lam=params.lam,
-        m=m,
-        inv_m=1.0 / m,
-        ef=ef,
-        ef_u=ef[None, :, :] * state.u,
-    )
+    w = ef[None, :, :] * state.u
+    m = state.lap_f[None, :, :] + cone_shift(w, state.t, params.alpha0)
+    floor = params.cone_floor_value
+    m_min = float(np.min(m))
+    if not m_min > floor:
+        raise ConeViolationError(
+            f"cone margin {m_min:.3e} at or below floor {floor:.3e} (t={state.t})"
+        )
+    r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - np.log(a0)
+    r_u = state.lap_u - curv.s - w
+    lin = Linearization(grid=state.grid, lam=params.lam, m=m, inv_m=1.0 / m, ef=ef, ef_u=w)
+    return r_f, r_u, lin
 
 
 def apply_linearization(

@@ -33,7 +33,8 @@ Four layers, bottom up:
   step toward the cone moves each M_i along a straight line.  The first
   iteration also tries the full step in (f, w) and keeps it when it
   converges, as it does on constant data, where the system is affine in
-  (f, w) along the branch.
+  (f, w) along the branch.  Each state is evaluated once: its cone factors
+  give its margin, its residuals and the linearization of the next direction.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ from .model import (
     DemaillyParams,
     Perturbation,
     State,
+    _evaluate,
     apply_linearization,
-    cone_margin,
     cone_shift,
     l_inverse,
-    linearize,
     residual,
     residual_sup,
     state_distance,
@@ -172,7 +172,7 @@ def solve_t0(
     requested = params.alpha0 if params.alpha0 is not None else 0.0
     alpha0 = max(float(requested), 2.0, 2.0 * float(np.max(np.abs(u0))))
     state = State(grid, np.zeros((grid.n, grid.n)), u0, 0.0)
-    a0 = np.prod(cone_shift(state.f, u0, 0.0, alpha0), axis=0)
+    a0 = np.prod(cone_shift(np.exp(state.f) * u0, 0.0, alpha0), axis=0)
     if float(np.min(a0)) <= 0.0:
         raise RuntimeError("reference density came out nonpositive")
     floor = replace(params, alpha0=alpha0).cone_floor_value
@@ -255,7 +255,7 @@ def u_step(
     log_a0 = np.log(params.require_a0())
     lam = params.lam
     f_in = grid.bind(f_in)
-    a = cone_shift(f_in, u, t, params.alpha0)
+    a = cone_shift(np.exp(f_in) * u, t, params.alpha0)
     lap_f_in = grid.laplacian(f_in)
 
     def path_residual(cand: np.ndarray, s: float, lap=None):
@@ -403,8 +403,7 @@ def _mean_jacobian_symbols(lin):
     return 1.0 / schur, twist, c_bar * (inv_m_bar[:-1] - inv_m_bar[-1]), w_bar[:-1]
 
 
-def _newton_direction(state, curv, params, r_f, r_u, forcing):
-    lin = linearize(state, curv, params)
+def _newton_direction(state, lin, r_f, r_u, forcing):
     grid = state.grid
     n = grid.n
     nn = n * n
@@ -463,8 +462,8 @@ def newton_at_t(
 
     Each iteration tries the full step along the u-line; when it leaves the
     cone floor or does not decrease the residual, alpha is halved along the
-    w-line until the cone margin stays at or above the floor and the
-    residual decreases; a trial that is not finite is rejected the same
+    w-line until the cone margin stays above the floor and the residual
+    decreases; a trial that is not finite is rejected the same
     way.  The first iteration tries the full w-line step
     before anything else and keeps it when it converges: on constant data
     w = -s holds all along the branch and the residual is affine in f at
@@ -482,42 +481,68 @@ def newton_at_t(
     unchanged, as it does on every state this solver and ``solve_t0``
     return.
 
+    Each state, the start and every trial, is evaluated once
+    (``model._evaluate``): one set of cone factors M_i gives its margin,
+    its residuals and its linearization, and the accepted trial's
+    linearization drives the next direction.
+
     Raises ConeViolationError (inadmissible initial state at this t),
     NoDescentError (backtracking floor), or MaxIterationsError.
     """
     grid = initial.grid
     state = initial.at(t, _project_trace(initial.u))
-    floor = params.cone_floor_value
-    margin = cone_margin(state, params)
-    if margin < floor:
-        raise ConeViolationError(
-            f"initial cone margin {margin:.3e} below floor {floor:.3e} at t={t}"
-        )
-    r_f, r_u = residual(state, curv, params)
+    r_f, r_u, lin = _evaluate(state, curv, params)
     res = residual_sup(r_f, r_u)
     damping: list[float] = []
-    margins: list[float] = [margin]
-    history: list[float] = [res]
+    margins: list[float] = []
+    history: list[float] = []
     krylov_failures = 0
 
     def admissible(f_t, u_t):
-        """The trial with its margin and residuals.
+        """The trial with its linearization and residuals, evaluated once.
 
-        None when the trial is not finite or falls below the cone floor.
+        None when the trial is not finite or not above the cone floor.
         """
         if not (np.all(np.isfinite(f_t)) and np.all(np.isfinite(u_t))):
             return None
         trial = State(grid, f_t, _project_trace(u_t), t)
-        m_t = cone_margin(trial, params)
-        if m_t < floor:
-            return None
         try:
-            rf_t, ru_t = residual(trial, curv, params)
+            rf_t, ru_t, lin_t = _evaluate(trial, curv, params)
         except ConeViolationError:
             return None
-        return trial, m_t, rf_t, ru_t, residual_sup(rf_t, ru_t)
+        return trial, lin_t, rf_t, ru_t, residual_sup(rf_t, ru_t)
+
+    def line_search(it, df_step, du_step):
+        """The accepted trial with its alpha, or None.
+
+        Its own scope frees the rejected trials before the next direction.
+        """
+        # e^-f dw, so the w-line is e^(-alpha df) (u + alpha dw_step).
+        dw_step = du_step + state.u * df_step
+
+        def along_w(alpha):
+            return admissible(
+                state.f + alpha * df_step,
+                np.exp(-alpha * df_step) * (state.u + alpha * dw_step),
+            )
+
+        w_full = along_w(1.0) if it == 0 else None
+        if w_full is not None and w_full[-1] <= params.newton_tol:
+            return (*w_full, 1.0)
+        found = admissible(state.f + df_step, state.u + du_step)
+        if found is not None and found[-1] < res:
+            return (*found, 1.0)
+        alpha = 1.0
+        while alpha >= _BACKTRACK_FLOOR:
+            found = w_full if it == 0 and alpha == 1.0 else along_w(alpha)
+            if found is not None and found[-1] < res:
+                return (*found, alpha)
+            alpha *= 0.5
+        return None
 
     for it in range(_MAX_ITERS + 1):
+        margins.append(float(np.min(lin.m)))
+        history.append(res)
         if res <= params.newton_tol:
             report = NewtonReport(
                 iterations=it,
@@ -531,46 +556,20 @@ def newton_at_t(
             return state, report
         if it == _MAX_ITERS:
             break
-        df_step, du_step, failed = _newton_direction(
-            state, curv, params, r_f, r_u, res
-        )
+        df_step, du_step, failed = _newton_direction(state, lin, r_f, r_u, res)
         krylov_failures += failed
         top = grid.sup(df_step)
         if top > _MAX_F_STEP:
             scale = _MAX_F_STEP / top
             df_step = df_step * scale
             du_step = du_step * scale
-        # e^-f dw, so the w-line is e^(-alpha df) (u + alpha dw_step).
-        dw_step = du_step + state.u * df_step
-
-        def along_w(alpha):
-            return admissible(
-                state.f + alpha * df_step,
-                np.exp(-alpha * df_step) * (state.u + alpha * dw_step),
-            )
-
-        accepted = None
-        w_full = along_w(1.0) if it == 0 else None
-        if w_full is not None and w_full[-1] <= params.newton_tol:
-            accepted = (*w_full, 1.0)
-        else:
-            found = admissible(state.f + df_step, state.u + du_step)
-            if found is not None and found[-1] < res:
-                accepted = (*found, 1.0)
-        alpha = 1.0
-        while accepted is None and alpha >= _BACKTRACK_FLOOR:
-            found = w_full if it == 0 and alpha == 1.0 else along_w(alpha)
-            if found is not None and found[-1] < res:
-                accepted = (*found, alpha)
-            alpha *= 0.5
+        accepted = line_search(it, df_step, du_step)
         if accepted is None:
             raise NoDescentError(
                 f"no residual decrease above the backtracking floor at t={t}"
             )
-        state, margin, r_f, r_u, res, alpha = accepted
+        state, lin, r_f, r_u, res, alpha = accepted
         damping.append(alpha)
-        margins.append(margin)
-        history.append(res)
     raise MaxIterationsError(
         f"residual {res:.3e} after {_MAX_ITERS} iterations at t={t}"
     )

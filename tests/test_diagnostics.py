@@ -18,6 +18,7 @@ from demlab import (
     run_diagnostics,
     solve_t0,
 )
+from demlab import diagnostics
 
 F_ONE = -0.7970199867162201
 
@@ -115,6 +116,58 @@ def test_run_diagnostics_flags_corruption(grid16, constant_setup):
     doc = diag.to_dict()
     assert doc["passed"] is False
     assert set(doc["failed"]) == set(diag.failed)
+
+
+def test_run_diagnostics_fails_overflowing_rank_one_state():
+    # e^f overflows at one point of a u = 0 state: the cone margin and the
+    # AM-GM excess come out NaN, and both checks fail instead of passing.
+    grid = make_grid(16, 2.0)
+    curv = build_curvature(BundleSpec((2,)), grid)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    f = np.zeros((16, 16))
+    f[3, 5] = 800.0
+    with np.errstate(all="ignore"):
+        diag = run_diagnostics(State(grid, f, state0.u, 0.5), curv, params)
+    assert np.isnan(diag.cone_margin) and np.isnan(diag.amgm_excess)
+    assert {"integral_identity", "cone_margin", "amgm_bound"} <= set(diag.failed)
+
+
+def _nan_bound(key):
+    real = diagnostics.check_bounds
+
+    def patched(state, params):
+        return {**real(state, params), key: np.nan}
+
+    return patched
+
+
+def _nan(*args):
+    return np.nan
+
+
+def _nan_identity(state, curv):
+    return np.array([np.nan, 0.0])
+
+
+# How to make each recorded value NaN: (owner, attribute, replacement).
+_NAN_PLANTS = {
+    "integral_identity": (diagnostics, "check_integral_identity", _nan_identity),
+    "uy_inequality": (diagnostics, "check_uy_inequality", _nan),
+    "trace_constraint": (State, "trace_sup", _nan),
+    "cone_margin": (diagnostics, "cone_margin", _nan),
+    "argmax_slack": (diagnostics, "check_bounds", _nan_bound("argmax_slack")),
+    "amgm_bound": (diagnostics, "check_bounds", _nan_bound("amgm_excess")),
+}
+
+
+@pytest.mark.parametrize("check", list(_NAN_PLANTS))
+def test_run_diagnostics_fails_each_nan_value(monkeypatch, grid16, constant_setup, check):
+    # A NaN value passes no check: it fails exactly the check it feeds.
+    spec, curv, params = constant_setup
+    state = closed_form_state(spec, params, grid16, 0.5)
+    assert run_diagnostics(state, curv, params).passed
+    monkeypatch.setattr(*_NAN_PLANTS[check])
+    assert run_diagnostics(state, curv, params).failed == (check,)
 
 
 def test_diagnostics_deterministic(grid16, constant_setup):

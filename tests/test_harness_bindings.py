@@ -14,7 +14,7 @@ import pytest
 
 import demlab.cli  # loaded up front: the tracer wraps its bindings too
 import demlab.solvers
-from demlab import BundleSpec, DemaillyParams, State, build_curvature, make_grid
+from demlab import BundleSpec, DemaillyParams, State, build_curvature, make_grid, march
 from demlab.geometry import Grid
 from demlab.krylov import LinearMap
 
@@ -82,3 +82,23 @@ def test_newton_directions_hand_gmres_a_separate_preconditioner(monkeypatch):
     assert report.converged
     assert len(solves) == len(directions) == report.iterations > 0
     assert all(calls["M"] == calls["A"] >= 2 for calls in solves)
+
+
+def test_counted_run_books_every_newton_direction_and_attempt(monkeypatch):
+    # The end-to-end counts of ``bench.py`` come from the bindings the
+    # untraced run wraps: newton_iters from ``solvers.gmres`` calls and
+    # step_attempts from ``homotopy.attempts``.  A solver call that moves
+    # off a wrapped binding would read 0 there, which scores as better.
+    # The README case at n=32 takes [0, 1] with 4 Newton iterations.
+    pytest.importorskip("scipy")
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import layers
+
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), 0.2)
+    with layers.instrument(layers.Probe(False), layers.COUNTED) as probe:
+        report = march(spec, DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    assert report.accepted_ts == [0.0, 1.0]
+    iterations = sum(step.newton.iterations for step in report.steps)
+    assert probe.counts["solvers.gmres.calls"] == iterations == 4
+    assert probe.counts["homotopy.attempts"] == 2

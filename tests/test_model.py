@@ -126,6 +126,23 @@ def test_residual_raises_outside_cone(grid16):
         residual(bad, curv, params)
 
 
+def test_evaluation_rejects_nan_cone_factor():
+    # A rank-one state (u = 0) whose e^f overflows at one point, where
+    # e^f u is inf * 0 = NaN, and so is the cone factor.  NaN <= floor is
+    # false as well, so only "not m_min > floor" catches it.
+    grid = make_grid(16, 2.0)
+    curv = build_curvature(BundleSpec((2,)), grid)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    f = np.zeros((16, 16))
+    f[3, 5] = 800.0
+    state = State(grid, f, state0.u, 0.5)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConeViolationError, match="cone margin nan"):
+            residual(state, curv, params)
+        with pytest.raises(ConeViolationError, match="cone margin nan"):
+            linearize(state, curv, params)
+
+
 def test_cone_margin_constant_values(grid16):
     spec = BundleSpec((1, 3))
     curv = build_curvature(spec, grid16)

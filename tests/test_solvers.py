@@ -33,7 +33,7 @@ from demlab import (
     u_step,
     v_step,
 )
-from demlab import solvers
+from demlab import model, solvers
 from demlab.krylov import LinearMap
 from dataclasses import replace
 
@@ -462,6 +462,43 @@ def test_newton_max_iterations(monkeypatch, constant_setup):
     monkeypatch.setattr(solvers, "_MAX_ITERS", 1)
     with pytest.raises(MaxIterationsError, match="after 1 iterations"):
         newton_at_t(start, 0.5, curv, params)
+
+
+def test_newton_evaluates_each_state_once(monkeypatch, constant_setup):
+    # One evaluation per state: the start and every trial get their margin,
+    # residuals and linearization from a single set of cone factors, and the
+    # accepted trial's linearization drives the next direction.  None of the
+    # public cone, residual or linearization entry points runs in the solve.
+    spec, curv, _, params = constant_setup
+    grid = curv.grid
+    cf = closed_form_state(spec, params, grid, 0.5)
+    bump = grid.sample(lambda X, Y: 0.3 * np.cos(2 * np.pi * X))
+    start = State(grid, cf.f + bump, cf.u, 0.5)
+
+    def forbidden(*args):
+        raise AssertionError("called inside newton_at_t")
+
+    for name in ("cone_margin", "cone_factors", "residual", "linearize"):
+        monkeypatch.setattr(model, name, forbidden)
+        monkeypatch.setattr(solvers, name, forbidden, raising=False)
+    trials, evaluated = [], []
+    real_state, real_evaluate = solvers.State, solvers._evaluate
+
+    def trial_state(*args):
+        trials.append(real_state(*args))
+        return trials[-1]
+
+    def counted_evaluate(state, *args):
+        evaluated.append(state)
+        return real_evaluate(state, *args)
+
+    monkeypatch.setattr(solvers, "State", trial_state)
+    monkeypatch.setattr(solvers, "_evaluate", counted_evaluate)
+    _, report = newton_at_t(start, 0.5, curv, params)
+    assert report.converged
+    assert len(trials) > report.iterations  # some trials were rejected
+    assert len(evaluated) == 1 + len(trials)
+    assert all(seen is trial for seen, trial in zip(evaluated[1:], trials))
 
 
 def test_newton_rejects_non_finite_trials(monkeypatch, constant_setup):
