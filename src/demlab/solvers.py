@@ -16,7 +16,10 @@ Four layers, bottom up:
   and doubled again after each success),
   V resolves the trace-free equations at frozen potential (r-1 Helmholtz
   solves, the last twist log rebuilt from the trace constraint).
-  ``picard_step`` applies both and reports the gap.
+  ``picard_step`` applies U, then V at the new potential, and reports the
+  gap; a zero gap means U(f, u) = f and V(U) = u, which is U(f, u) = f and
+  V(f) = u, so the fixed points are exactly the solutions.  ``picard_solve``
+  repeats it until the gap is small.
 * ``newton_at_t``: damped Newton at fixed t on the reduced unknowns
   (f, u_1..u_{r-1}), with u_r eliminated so det g = 1 holds exactly.  The
   linear systems use the exact Frechet derivative, solved by restarted
@@ -332,14 +335,37 @@ def u_step(
 def picard_step(
     state: State, curv: CurvatureData, params: DemaillyParams
 ) -> tuple[State, float]:
-    """One application of the fixed-point map: replace (f, u) by (U, V).
+    """One application of the fixed-point map: U, then V at the new potential.
 
-    Returns the new state at the same t and the sup gap |(f, u) - (U, V)|.
-    A state solves the system at its t exactly when the gap vanishes.
+    Replaces (f, u) by (U, V) with U = U(f, u) and V = V(U).  Returns the new
+    state at the same t and the sup gap |(f, u) - (U, V)|.  The gap vanishes
+    exactly when U(f, u) = f and V(f) = u, that is, when the state solves the
+    system at its t.
     """
     new_f = u_step(state.f, state.u, state.t, curv, params)
-    new_state = State(state.grid, new_f, v_step(state.f, curv), state.t)
+    new_state = State(state.grid, new_f, v_step(new_f, curv), state.t)
     return new_state, state_distance(state, new_state)
+
+
+def picard_solve(
+    state: State,
+    curv: CurvatureData,
+    params: DemaillyParams,
+    gap_tol: float,
+    max_steps: int,
+) -> tuple[State, float, int]:
+    """Apply ``picard_step`` until the gap is at most ``gap_tol``.
+
+    Stops after ``max_steps`` applications at the latest and returns the last
+    state, its gap and the number of applications; the caller judges a gap
+    still above ``gap_tol``.
+    """
+    gap = np.inf
+    steps = 0
+    while steps < max_steps and not gap <= gap_tol:
+        state, gap = picard_step(state, curv, params)
+        steps += 1
+    return state, gap, steps
 
 
 @dataclass

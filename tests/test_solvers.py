@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demlab import (
     BundleSpec,
@@ -23,6 +25,7 @@ from demlab import (
     make_grid,
     march,
     newton_at_t,
+    picard_solve,
     picard_step,
     random_band_limited,
     residual,
@@ -400,12 +403,44 @@ def test_picard_contracts_near_solution(constant_setup):
     noise_u -= noise_u.mean(axis=0)
     state = State(grid, base.f + noise_f, base.u + noise_u, 0.1)
     gaps = []
-    for _ in range(5):
+    for _ in range(3):
         state, gap = picard_step(state, curv, params)
         gaps.append(gap)
     # Empirical contraction near the solution; recorded, not a theorem.
     logger.info("picard gaps: %s", ["%.3e" % g for g in gaps])
-    assert gaps[-1] < gaps[0]
+    assert gaps[-1] <= 1e-10
+
+
+def test_picard_takes_v_at_the_new_potential(constant_setup):
+    spec, curv, _, params = constant_setup
+    grid = curv.grid
+    rng = np.random.default_rng(5)
+    base = closed_form_state(spec, params, grid, 0.5)
+    start = State(grid, base.f + random_band_limited(grid, rng, kmax=2, amplitude=0.05), base.u, 0.5)
+    new, _ = picard_step(start, curv, params)
+    assert np.array_equal(new.u, v_step(new.f, curv))
+
+
+@settings(deadline=None, max_examples=12)
+@given(
+    a=st.floats(0.0, 0.3),
+    mode=st.sampled_from([(1, 1), (2, 1), (1, 0), (3, 2)]),
+    t=st.sampled_from([0.0, 0.5, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_picard_solve_reaches_newtons_state(a, mode, t, seed):
+    grid = make_grid(16, 4.0)
+    curv = build_curvature(BundleSpec.cosine_pair((1, 3), a, (mode,)), grid)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    df = random_band_limited(grid, np.random.default_rng(seed), kmax=2, amplitude=0.05)
+    start = State(grid, state0.f + df, state0.u, t)
+    state, gap, steps = picard_solve(start, curv, params, gap_tol=1e-10, max_steps=10)
+    assert gap <= 1e-10, f"gap {gap:.2e} after {steps} steps"
+    # Newton starts from the exact t=0 state: from the offset start the t=1
+    # cone factors, which lose (1 - t) alpha0, are negative.
+    newton_sol, report = newton_at_t(state0, t, curv, params)
+    assert report.converged
+    assert state_distance(state, newton_sol) <= 1e-8
 
 
 # ------------------------------------------------------------------- Newton
@@ -678,9 +713,8 @@ def test_newton_agrees_with_iterated_picard_at_t0(grid16):
     start = State(grid16, state0.f + df, state0.u + du, 0.0)
     newton_sol, report = newton_at_t(start, 0.0, curv, params)
     assert report.converged
-    picard_sol = start
-    for _ in range(20):
-        picard_sol, _ = picard_step(picard_sol, curv, params)
+    picard_sol, gap, _ = picard_solve(start, curv, params, gap_tol=1e-12, max_steps=20)
+    assert gap <= 1e-12
     assert state_distance(newton_sol, picard_sol) <= 1e-8
 
 
@@ -703,13 +737,10 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
     monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
     state = State(grid, state0.f, state0.u, 1.0)
     with np.errstate(all="raise"):
-        for steps in range(1, 101):
-            state, gap = picard_step(state, curv, filled)
-            if gap <= 1e-9:
-                break
+        state, gap, steps = picard_solve(state, curv, filled, gap_tol=1e-9, max_steps=100)
     assert gap <= 1e-9
-    assert steps == 19
-    assert len(solves) - steps == 37  # u_step's inner Newton solves
+    assert steps == 5
+    assert len(solves) - steps == 13  # u_step's inner Newton solves
     monkeypatch.undo()
     newton = march(spec, replace(params, dt0=1.0), grid).final_state
     assert state_distance(state, newton) <= 1e-8
@@ -717,7 +748,9 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
 
 def test_picard_step_laplacian_count_pinned(monkeypatch):
     # The first Picard step of the README case at n=32, from the t=0 state
-    # taken to t=1, takes 53 Laplacians.  The count rises when a Helmholtz
+    # taken to t=1, takes 57 Laplacians.  V is taken at the new potential U,
+    # not at the start's f = 0, so its Helmholtz coefficient e^U varies and
+    # the solve goes through CG (4 matvecs).  The count rises when a Helmholtz
     # solve takes the Laplacian of its zero start, when u_step's
     # admissibility check recomputes the Laplacian of its last path residual,
     # or when an inner Newton recomputes the Laplacian of its start (f_in,
@@ -734,4 +767,4 @@ def test_picard_step_laplacian_count_pinned(monkeypatch):
 
     monkeypatch.setattr(Grid, "laplacian", counted)
     picard_step(State(grid, state0.f, state0.u, 1.0), curv, filled)
-    assert len(calls) == 53
+    assert len(calls) == 57
