@@ -12,10 +12,17 @@ Two methods, both started from x = 0 and both reporting ``(x, info)`` with
   and the inner tolerance is rescaled from it: cut by 4 when the inner test
   passed but the true one failed, relaxed by 1.5 otherwise.  One
   preconditioner application gives |M b| and the first cycle's starting
-  vector, then one per later restart and one per inner step; the operator
-  is applied once per inner step and once per restart for the true
-  residual, so M runs exactly as often as A (scipy applies M to b twice,
-  one application more).
+  vector, then one per later restart and one per inner step.  The operator
+  is applied once per inner step and once after each cycle that does not
+  converge, so once per restart in a converged run.  A cycle's true
+  residual is r - sum_k y_k (A v_k), with r the residual it started from
+  and A v_k the products its inner steps already took (Saad, Iterative
+  Methods for Sparse Linear Systems, 2003, 6.5 and 9.3); only when that
+  misses the tolerance is b - A x taken afresh, and the next cycle starts
+  from it, so rounding in the update decides at most when to stop and
+  never steers the iteration.  A converged run thus applies M once more
+  than A.  scipy takes b - A x after every cycle and applies M to b twice,
+  one call more of each, and otherwise does the same arithmetic.
 
 Operators and preconditioners are anything with a ``matvec`` method;
 ``LinearMap`` wraps a function and also carries ``shape`` and ``dtype``.
@@ -41,7 +48,11 @@ _RT_MAX = math.sqrt(float(np.finfo(float).max) / 2.0)
 
 @dataclass(frozen=True)
 class LinearMap:
-    """A real square operator on vectors of length ``size``, given by its action."""
+    """A real square operator on vectors of length ``size``, given by its action.
+
+    ``matvec`` must return a new array that nothing else holds: ``gmres``
+    keeps the operator's products and writes into the preconditioner's.
+    """
 
     size: int
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -128,8 +139,10 @@ def gmres(A, b, *, rtol, restart, maxiter, M):
         g = np.zeros(restart + 1)  # rotated right side of the Hessenberg problem
         g[0] = beta
         breakdown = False
+        av = []  # A v_k of this cycle, before the preconditioner
         for col in range(restart):
-            w = psolve(A.matvec(v[col]))
+            av.append(A.matvec(v[col]))
+            w = psolve(av[col])
             h0 = np.linalg.norm(w)
             for k in range(col + 1):
                 hk = np.dot(v[k], w)
@@ -165,8 +178,17 @@ def gmres(A, b, *, rtol, restart, maxiter, M):
         if y[0] != 0.0:
             y[0] /= h[0, 0]
         x += y @ v[: col + 1]
-        r = b - A.matvec(x)
+        # r was the true residual of the cycle's start, and A x moved by
+        # sum_k y_k A v_k: that update decides convergence without a matvec.
+        # A cycle that goes on starts from a fresh b - A x, so rounding in
+        # the update never steers the iteration.
+        r = r.copy()
+        for yk, avk in zip(y, av):
+            r -= yk * avk
         r_norm = np.linalg.norm(r)
+        if r_norm > tol:
+            r = b - A.matvec(x)
+            r_norm = np.linalg.norm(r)
         if r_norm <= tol or breakdown:
             break
         if presid <= ptol:  # the inner test passed but the true residual did not

@@ -225,12 +225,27 @@ class DemaillyParams:
             raise ValueError("reference density a0 not set; run the t=0 construction first")
         return self.a0
 
+    @cached_property
+    def log_a0(self) -> np.ndarray:
+        """log(a0), taken once on first use and kept, read-only."""
+        return _read_only(np.log(self.require_a0()))
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A view of ``a`` that cannot be written through."""
     view = a.view()
     view.flags.writeable = False
     return view
+
+
+def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two float arrays hold the same bits (signed zeros told apart)."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _with_trace_row(head: np.ndarray) -> np.ndarray:
+    """The stack ``head`` of rows 1..r-1 with row r = -(their sum) appended."""
+    return np.concatenate([head, -np.sum(head, axis=0)[None, :, :]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +260,12 @@ class State:
     copies: those arrays keep their own flags, and writing to them after
     the state is built is not supported, since it would change the state
     under its kept Laplacians.  ``lap_f`` and ``lap_u`` are taken once, on
-    first use, and kept.  ``at`` moves a state to another t and carries
+    first use, and kept.  When neither is kept yet and u is trace-projected
+    (u_r equals -(u_1 + ... + u_{r-1}) bit for bit, as on every state the
+    solvers make), both come from one stacked transform of
+    (f, u_1..u_{r-1}) with lap(u_r) = -(lap(u_1) + ... + lap(u_{r-1})),
+    which at rank 2 is bit for bit the transform of u_2.  Otherwise each is
+    transformed on its own.  ``at`` moves a state to another t and carries
     over the Laplacians that still hold.
     """
 
@@ -273,12 +293,32 @@ class State:
     @cached_property
     def lap_f(self) -> ScalarField:
         """lap(f), read-only."""
+        if self._take_stacked_laplacians():
+            return self.lap_f
         return _read_only(self.grid.laplacian(self.f))
 
     @cached_property
     def lap_u(self) -> np.ndarray:
         """lap(u_i) stacked, shape (r, n, n), read-only."""
+        if self._take_stacked_laplacians():
+            return self.lap_u
         return _read_only(self.grid.laplacian(self.u))
+
+    def _take_stacked_laplacians(self) -> bool:
+        """Keep lap f and lap u from one transform when the state allows it.
+
+        True when it did: neither was kept yet and u is trace-projected.
+        """
+        kept = self.__dict__
+        u = self.u
+        if "lap_f" in kept or "lap_u" in kept:
+            return False
+        if not _bit_equal(u[-1], -np.sum(u[:-1], axis=0)):
+            return False
+        lap = self.grid.laplacian(np.concatenate([self.f[None, :, :], u[:-1]]))
+        kept["lap_f"] = _read_only(lap[0])
+        kept["lap_u"] = _read_only(_with_trace_row(lap[1:]))
+        return True
 
     def at(self, t: float, u: np.ndarray) -> "State":
         """The state (f, u) at parameter t, sharing this state's Laplacians where they hold.
@@ -288,7 +328,7 @@ class State:
         """
         moved = State(self.grid, self.f, u, t)
         moved.__dict__["lap_f"] = self.lap_f
-        if np.array_equal(moved.u.view(np.uint64), self.u.view(np.uint64)):
+        if _bit_equal(moved.u, self.u):
             moved.__dict__["lap_u"] = self.lap_u
         return moved
 
@@ -365,18 +405,27 @@ def residual_sup(r_f: ScalarField, r_u: np.ndarray) -> float:
 class Linearization:
     """The derivative of ``residual`` frozen at one state.
 
-    Everything that depends only on the state is computed once by
-    ``linearize``, so each ``apply_linearization`` costs one stacked
-    Laplacian of r fields (df, du_1..du_{r-1}) and pointwise products.
-    ``m`` holds the cone factors M_i.
+    ``linearize`` keeps the cone factors M_i, e^f and w_i = e^f u_i.  The
+    coefficients of dR_f that ``apply_linearization`` needs are formed from
+    them on its first call and kept, so a state whose linearization is
+    never applied (a rejected trial, a converged one) does not pay for
+    them.  Each application then costs one stacked Laplacian of r fields
+    (df, du_1..du_{r-1}) and pointwise products.
     """
 
     grid: Grid
     lam: float
     m: np.ndarray  # M_i, (r, n, n)
-    inv_m: np.ndarray  # 1 / M_i
     ef: np.ndarray  # e^f, (n, n)
     ef_u: np.ndarray  # e^f u_i, (r, n, n)
+
+    @cached_property
+    def potential_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D, lambda + a, e^f / M_i) with D = sum_i 1/M_i and a = sum_i w_i / M_i."""
+        inv_m = 1.0 / self.m
+        d = np.sum(inv_m, axis=0)
+        lam_a = self.lam + np.sum(self.ef_u * inv_m, axis=0)
+        return d, lam_a, self.ef[None, :, :] * inv_m
 
 
 def linearize(
@@ -398,7 +447,7 @@ def _evaluate(
     e^f, w = e^f u and the M_i are formed once.  Raises ConeViolationError
     unless every M_i is above the cone floor, so a NaN factor raises too.
     """
-    a0 = params.require_a0()
+    log_a0 = params.log_a0
     if params.alpha0 is None:
         raise ValueError("alpha0 not set")
     ef = np.exp(state.f)
@@ -410,9 +459,9 @@ def _evaluate(
         raise ConeViolationError(
             f"cone margin {m_min:.3e} at or below floor {floor:.3e} (t={state.t})"
         )
-    r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - np.log(a0)
+    r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - log_a0
     r_u = state.lap_u - curv.s - w
-    lin = Linearization(grid=state.grid, lam=params.lam, m=m, inv_m=1.0 / m, ef=ef, ef_u=w)
+    lin = Linearization(grid=state.grid, lam=params.lam, m=m, ef=ef, ef_u=w)
     return r_f, r_u, lin
 
 
@@ -422,22 +471,21 @@ def apply_linearization(
     """Exact Frechet derivative of ``residual`` at the frozen state in direction ``p``.
 
     dR_f = sum_i (lap(df) - e^f u_i df - e^f du_i) / M_i - lambda df
+         = D lap(df) - (lambda + a) df - sum_i (e^f / M_i) du_i
     dR_i = lap(du_i) - e^f u_i df - e^f du_i
 
-    Only df and du_1..du_{r-1} are transformed; lap(du_r) is taken as
-    -(lap(du_1) + ... + lap(du_{r-1})), which is exact for trace-free du
-    (bit for bit at rank 2, where it is -lap(du_1)).
+    with D = sum_i 1/M_i and a = sum_i e^f u_i / M_i, the coefficients the
+    linearization keeps.  Only df and du_1..du_{r-1} are transformed;
+    lap(du_r) is taken as -(lap(du_1) + ... + lap(du_{r-1})), which is
+    exact for trace-free du (bit for bit at rank 2, where it is -lap(du_1)).
     """
     grid = lin.grid
     df = grid.bind(p.df)
     du = np.asarray(p.du, dtype=float)
     lap = grid.laplacian(np.concatenate([df[None, :, :], du[:-1]]))
-    lap_du = np.concatenate([lap[1:], -np.sum(lap[1:], axis=0)[None, :, :]])
-    ef_u_df = lin.ef_u * df[None, :, :]
-    ef_du = lin.ef[None, :, :] * du
-    dm = lap[:1] - ef_u_df - ef_du
-    dr_f = np.sum(dm * lin.inv_m, axis=0) - lin.lam * df
-    dr_u = lap_du - ef_u_df - ef_du
+    d, lam_a, ef_inv_m = lin.potential_coefficients
+    dr_f = d * lap[0] - lam_a * df - np.sum(ef_inv_m * du, axis=0)
+    dr_u = _with_trace_row(lap[1:]) - lin.ef_u * df[None, :, :] - lin.ef[None, :, :] * du
     return dr_f, dr_u
 
 

@@ -23,17 +23,19 @@ Four layers, bottom up:
 * ``newton_at_t``: damped Newton at fixed t on the reduced unknowns
   (f, u_1..u_{r-1}), with u_r eliminated so det g = 1 holds exactly.  The
   linear systems use the exact Frechet derivative, solved by restarted
-  GMRES (``krylov.gmres``) to a relative tolerance of min(3e-4, residual).
+  GMRES (``krylov.gmres``) to a relative tolerance of min(3e-4, residual);
+  GMRES applies the Jacobian once per inner step and once per restart, and
+  ``NewtonReport.krylov_matvecs`` counts those applications.
   The preconditioner is the exact inverse of the Jacobian frozen at the
   grid means of M_i, e^f and e^f u_i, the coupling between f and u
   included: per Fourier mode an arrow matrix, inverted in closed form
   through its Schur complement (``_mean_jacobian_symbols``), so on constant
-  data every GMRES solve takes one inner step.  A direction whose GMRES
-  solve misses its tolerance is still tried and is counted in
-  ``NewtonReport.krylov_failures``.  Full steps are additive
-  in (f, u); a rejected full step is damped along the straight line in
-  (f, w) with w_i = e^f u_i, where every cone factor M_i is affine, so a
-  step toward the cone moves each M_i along a straight line.  The first
+  data every GMRES solve takes one inner step and one Jacobian
+  application.  A direction whose GMRES solve misses its tolerance is
+  still tried and is counted in ``NewtonReport.krylov_failures``.  Full
+  steps are additive in (f, u); a rejected full step is damped along the
+  straight line in (f, w) with w_i = e^f u_i, where every cone factor M_i
+  is affine, so a step toward the cone moves each M_i along a straight line.  The first
   iteration also tries the full step in (f, w) and keeps it when it
   converges, as it does on constant data, where the system is affine in
   (f, w) along the branch.  Each state is evaluated once: its cone factors
@@ -55,6 +57,7 @@ from .model import (
     Perturbation,
     State,
     _evaluate,
+    _with_trace_row,
     apply_linearization,
     cone_shift,
     l_inverse,
@@ -188,13 +191,13 @@ def solve_t0(
 
 
 def _project_trace(u: np.ndarray) -> np.ndarray:
-    """Rebuild the last twist log from the others so det g = 1 exactly."""
-    out = np.array(u, dtype=float, copy=True)
-    if out.shape[0] == 1:
-        out[0] = 0.0
-    else:
-        out[-1] = -np.sum(out[:-1], axis=0)
-    return out
+    """Rebuild the last twist log from the others so det g = 1 exactly.
+
+    At rank one that makes u_1 = -0.0, minus the empty sum, so every state
+    the solvers make is trace-projected bit for bit and takes lap f and
+    lap u in one transform (``State``).
+    """
+    return _with_trace_row(np.asarray(u, dtype=float)[:-1])
 
 
 def v_step(f: ScalarField, curv: CurvatureData) -> np.ndarray:
@@ -255,7 +258,7 @@ def u_step(
     admissibility check and the start of the next inner Newton.
     """
     grid = curv.grid
-    log_a0 = np.log(params.require_a0())
+    log_a0 = params.log_a0
     lam = params.lam
     f_in = grid.bind(f_in)
     a = cone_shift(np.exp(f_in) * u, t, params.alpha0)
@@ -376,6 +379,7 @@ class NewtonReport:
     final_residual: float
     converged: bool
     krylov_failures: int
+    krylov_matvecs: int  # Jacobian applications over all GMRES solves
     damping: list[float]
     cone_margins: list[float]
     residual_history: list[float]
@@ -437,11 +441,13 @@ def _newton_direction(state, lin, r_f, r_u, forcing):
 
     # Unknowns (df, du_1..du_{r-1}); du_r is minus their sum (zero at rank one).
     def unpack(z):
-        du_part = z[nn:].reshape(nu, n, n)
-        du = np.concatenate([du_part, -np.sum(du_part, axis=0)[None]], axis=0)
-        return z[:nn].reshape(n, n), du
+        return z[:nn].reshape(n, n), _with_trace_row(z[nn:].reshape(nu, n, n))
+
+    matvecs = 0
 
     def matvec(z):
+        nonlocal matvecs
+        matvecs += 1
         dr_f, dr_u = apply_linearization(lin, Perturbation(*unpack(z)))
         return np.concatenate([dr_f.ravel(), dr_u[:nu].ravel()])
 
@@ -469,7 +475,7 @@ def _newton_direction(state, lin, r_f, r_u, forcing):
     # and cost a fifth iteration.
     rtol = max(min(3e-4, forcing), 1e-13)
     z, info = gmres(op, b, rtol=rtol, restart=80, maxiter=5, M=prec)
-    return (*unpack(z), info != 0)
+    return (*unpack(z), info != 0, matvecs)
 
 
 def newton_at_t(
@@ -523,6 +529,7 @@ def newton_at_t(
     margins: list[float] = []
     history: list[float] = []
     krylov_failures = 0
+    krylov_matvecs = 0
 
     def admissible(f_t, u_t):
         """The trial with its linearization and residuals, evaluated once.
@@ -575,6 +582,7 @@ def newton_at_t(
                 final_residual=res,
                 converged=True,
                 krylov_failures=krylov_failures,
+                krylov_matvecs=krylov_matvecs,
                 damping=damping,
                 cone_margins=margins,
                 residual_history=history,
@@ -582,8 +590,9 @@ def newton_at_t(
             return state, report
         if it == _MAX_ITERS:
             break
-        df_step, du_step, failed = _newton_direction(state, lin, r_f, r_u, res)
+        df_step, du_step, failed, matvecs = _newton_direction(state, lin, r_f, r_u, res)
         krylov_failures += failed
+        krylov_matvecs += matvecs
         top = grid.sup(df_step)
         if top > _MAX_F_STEP:
             scale = _MAX_F_STEP / top

@@ -635,6 +635,7 @@ _NEWTON_KEYS = [
     "final_residual",
     "converged",
     "krylov_failures",
+    "krylov_matvecs",
     "damping",
     "cone_margins",
     "residual_history",

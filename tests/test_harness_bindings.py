@@ -47,7 +47,8 @@ def test_newton_directions_hand_gmres_a_separate_preconditioner(monkeypatch):
     # The tracer counts ``solvers.newton_precond`` from the ``M`` keyword of
     # ``solvers.gmres``.  Each Newton direction must therefore call it with
     # the preconditioner apart from the operator, and M must run on every
-    # inner step: as often as the operator (per inner step and per restart).
+    # inner step: once more than the operator in a converged solve (M b,
+    # then M and A per inner step and per restart).
     solves = []
     real_gmres = demlab.solvers.gmres
 
@@ -81,14 +82,16 @@ def test_newton_directions_hand_gmres_a_separate_preconditioner(monkeypatch):
     _, report = demlab.solvers.newton_at_t(State(grid, state0.f, state0.u, 1.0), 1.0, curv, params)
     assert report.converged
     assert len(solves) == len(directions) == report.iterations > 0
-    assert all(calls["M"] == calls["A"] >= 2 for calls in solves)
+    assert all(calls["M"] == calls["A"] + 1 >= 2 for calls in solves)
 
 
 def test_counted_run_books_every_newton_direction_and_attempt(monkeypatch):
     # The end-to-end counts of ``bench.py`` come from the bindings the
     # untraced run wraps: newton_iters from ``solvers.gmres`` calls and
-    # step_attempts from ``homotopy.attempts``.  A solver call that moves
-    # off a wrapped binding would read 0 there, which scores as better.
+    # step_attempts from ``homotopy.attempts``, krylov_matvecs from the
+    # operator handed to ``solvers.gmres``, which must agree with the
+    # Jacobian applications Newton reports.  A solver call that moves off a
+    # wrapped binding would read 0 there, which scores as better.
     # The README case at n=32 takes [0, 1] with 4 Newton iterations.
     pytest.importorskip("scipy")
     monkeypatch.syspath_prepend(str(BENCHMARKS))
@@ -102,3 +105,5 @@ def test_counted_run_books_every_newton_direction_and_attempt(monkeypatch):
     iterations = sum(step.newton.iterations for step in report.steps)
     assert probe.counts["solvers.gmres.calls"] == iterations == 4
     assert probe.counts["homotopy.attempts"] == 2
+    matvecs = sum(step.newton.krylov_matvecs for step in report.steps)
+    assert probe.counts["solvers.gmres.matvecs"] == matvecs > 0

@@ -295,11 +295,11 @@ def test_march_records_non_finite_trial_as_no_descent(monkeypatch, caplog):
     calls = []
 
     def nan_first_direction(state, *args):
-        df, du, failed = real(state, *args)
+        df, du, *counts = real(state, *args)
         calls.append(state.t)
         if len(calls) == 1:
-            return np.full_like(df, np.nan), np.full_like(du, np.nan), failed
-        return df, du, failed
+            return np.full_like(df, np.nan), np.full_like(du, np.nan), *counts
+        return df, du, *counts
 
     monkeypatch.setattr(solvers, "_newton_direction", nan_first_direction)
     grid = make_grid(32, 4.0)
@@ -363,17 +363,17 @@ def test_march_readme_case_work_pinned():
 
 
 def test_march_laplacian_count_pinned(monkeypatch):
-    # The README case at n=32 takes 27 Laplacians and the (-1, 5) breakdown
-    # at n=16 takes 58.  Each state takes lap f and lap u once and keeps
-    # them, the t=0 state included (solve_t0 returns it trace-projected);
-    # each GMRES matvec transforms df and du_1 only.  The counts rise
-    # when cone_margin, residual, linearize or the diagnostics take their
-    # own Laplacian of f or u, when newton_at_t recomputes the Laplacians of
-    # the state it starts from, when apply_linearization transforms
-    # du_r as well, or when GMRES takes more inner steps.  The Newton
-    # preconditioner's coupling between f and u (and the forcing cap of
-    # 3e-4) cut the GMRES steps: 36 and 69 with the block-diagonal one,
-    # which also took the t=0 state's lap u twice.
+    # The README case at n=32 takes 17 Laplacians and the (-1, 5) breakdown
+    # at n=16 takes 35.  Each state takes lap f and lap u once and keeps
+    # them, the t=0 state included (solve_t0 returns it trace-projected),
+    # in one transform of (f, u_1), since every state the solvers make is
+    # trace-projected; each GMRES matvec transforms df and du_1 only, and
+    # GMRES takes no matvec for the true residual of a cycle that
+    # converges.  The counts rise when cone_margin, residual, linearize or
+    # the diagnostics take their own Laplacian of f or u, when newton_at_t
+    # recomputes the Laplacians of the state it starts from, when a state
+    # transforms f and u apart, when apply_linearization transforms du_r as
+    # well, or when GMRES takes more matvecs.
     calls = []
     real = Grid.laplacian
 
@@ -384,10 +384,10 @@ def test_march_laplacian_count_pinned(monkeypatch):
     monkeypatch.setattr(Grid, "laplacian", counted)
     params = DemaillyParams(lam=8.0, alpha0=10.0)
     march(BundleSpec.cosine_pair((1, 3), 0.2), params, make_grid(32, 4.0))
-    assert len(calls) == 27
+    assert len(calls) == 17
     calls.clear()
     report = march(BundleSpec((-1, 5)), params, make_grid(16, 4.0))
-    assert len(calls) == 58
+    assert len(calls) == 35
     # Only the predictor keeps its Laplacians; the report's states do not.
     assert not any({"lap_f", "lap_u"} & vars(step.state).keys() for step in report.steps)
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demlab import (
     BundleSpec,
@@ -92,10 +94,31 @@ def test_gmres_matches_dense_solve(seed, restart):
     assert np.linalg.norm(b - a @ x) <= 1e-12 * np.linalg.norm(b)
     # M b once, reused as the first cycle's starting vector, then M per
     # later restart and per inner step; the operator runs per inner step and
-    # per restart, so the two counts are equal.
-    assert calls["M"] == calls["A"]
+    # per restart (a cycle's true residual is updated from the products it
+    # already took and taken afresh only to restart), so M runs once more
+    # than A.
+    assert calls["A"] == calls["M"] - 1
     if restart < 30:
         assert calls["A"] > restart + 1  # the restart path was taken
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    spread=st.floats(0.0, 4.0),
+    restart=st.sampled_from([3, 10, 30]),
+    rtol=st.sampled_from([1e-6, 1e-10]),
+)
+def test_gmres_convergence_holds_for_the_explicit_residual(seed, spread, restart, rtol):
+    # gmres judges convergence on the residual updated from the products of
+    # its inner steps; whenever it reports success, the residual taken
+    # afresh must meet the tolerance too, up to rounding.
+    a, b = _nonsymmetric_system(30, seed)
+    scale = np.exp(np.random.default_rng(seed + 100).uniform(-spread, spread, 30))
+    prec = LinearMap(30, (np.diag(scale) @ _jacobi(a)).__matmul__)
+    x, info = gmres(LinearMap(30, a.__matmul__), b, rtol=rtol, restart=restart, maxiter=300, M=prec)
+    if info == 0:
+        assert np.linalg.norm(b - a @ x) <= 1.001 * rtol * np.linalg.norm(b)
 
 
 def test_zero_right_hand_side_returns_zero():
@@ -161,9 +184,11 @@ def _capture(monkeypatch, name):
     return systems
 
 
-def _assert_parity(ours, theirs, system, m_saved=0):
-    # ``m_saved`` is how many fewer preconditioner applications ours makes:
-    # scipy's gmres applies M to b twice, ours once.
+def _assert_parity(ours, theirs, system, m_saved=0, a_saved=0):
+    # ``m_saved`` and ``a_saved`` are how many fewer preconditioner and
+    # operator applications ours makes: scipy's gmres applies M to b twice,
+    # ours once, and takes the first cycle's true residual with a fresh
+    # matvec, where ours sums the products of its inner steps.
     op, b, kwargs = system
     results = []
     for solve in (ours, theirs):
@@ -173,6 +198,7 @@ def _assert_parity(ours, theirs, system, m_saved=0):
         results.append((x, info, calls))
     (x, info, calls), (x_ref, info_ref, calls_ref) = results
     calls_ref["M"] -= m_saved
+    calls_ref["A"] -= a_saved
     assert calls == calls_ref
     assert info == info_ref
     assert _rel_err(x, x_ref) <= 1e-12
@@ -187,7 +213,7 @@ def test_gmres_matches_scipy_on_newton_system(monkeypatch):
     newton_at_t(State(grid, state0.f, state0.u, 0.05), 0.05, curv, params)
     assert systems
     for system in systems:
-        _assert_parity(gmres, sp.gmres, system, m_saved=1)
+        _assert_parity(gmres, sp.gmres, system, m_saved=1, a_saved=1)
 
 
 def test_cg_matches_scipy_on_variable_helmholtz(monkeypatch):
@@ -213,7 +239,7 @@ def test_gmres_matches_scipy_across_restarts(seed, spread, restart):
     op = LinearMap(30, a.__matmul__)
     prec = LinearMap(30, (np.diag(scale) @ _jacobi(a)).__matmul__)
     system = (op, b, dict(rtol=1e-10, restart=restart, maxiter=300, M=prec))
-    _assert_parity(gmres, sp.gmres, system, m_saved=1)
+    _assert_parity(gmres, sp.gmres, system, m_saved=1, a_saved=1)
 
 
 @pytest.mark.parametrize("rtol", [1e-6, 1e-10])

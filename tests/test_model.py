@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demlab import model
+from demlab.geometry import Grid
 from demlab import (
     BundleSpec,
     ConeViolationError,
@@ -548,9 +549,81 @@ def test_state_fields_and_laplacians_are_read_only(grid16):
     assert f.flags.writeable and u.flags.writeable
 
 
+def _counted_laplacians(monkeypatch):
+    calls = []
+    real = Grid.laplacian
+
+    def counted(self, v):
+        calls.append(np.shape(v))
+        return real(self, v)
+
+    monkeypatch.setattr(Grid, "laplacian", counted)
+    return calls
+
+
+def _trace_projected(head):
+    return np.concatenate([head, -np.sum(head, axis=0)[None]])
+
+
+def test_state_laplacians_of_a_trace_projected_rank_two_state(monkeypatch, grid16):
+    # u_2 = -u_1 bit for bit: lap f and lap u come from one transform of
+    # (f, u_1) and equal the separate transforms bit for bit.
+    rng = np.random.default_rng(71)
+    f = random_band_limited(grid16, rng, kmax=3)
+    u = _trace_projected(random_band_limited(grid16, rng, kmax=3)[None])
+    lap_f, lap_u = grid16.laplacian(f), grid16.laplacian(u)
+    calls = _counted_laplacians(monkeypatch)
+    state = State(grid16, f, u, 0.5)
+    assert np.array_equal(state.lap_u, lap_u)
+    assert np.array_equal(state.lap_f, lap_f)
+    assert calls == [(2, 16, 16)]
+
+
+def test_state_laplacians_of_a_trace_projected_rank_three_state(monkeypatch, grid16):
+    rng = np.random.default_rng(72)
+    f = random_band_limited(grid16, rng, kmax=3)
+    u = _trace_projected(np.stack([random_band_limited(grid16, rng, kmax=3) for _ in range(2)]))
+    lap_f, lap_u = grid16.laplacian(f), grid16.laplacian(u)
+    calls = _counted_laplacians(monkeypatch)
+    state = State(grid16, f, u, 0.5)
+    assert np.max(np.abs(state.lap_f - lap_f)) <= 1e-13 * np.max(np.abs(lap_f))
+    assert np.max(np.abs(state.lap_u - lap_u)) <= 1e-13 * np.max(np.abs(lap_u))
+    assert calls == [(3, 16, 16)]
+
+
+def test_state_laplacians_of_a_rank_one_solver_state(monkeypatch, grid16):
+    # At rank one the solvers set u_1 = -0.0, minus the empty sum, so a
+    # solver state takes only the transform of f.
+    curv = build_curvature(BundleSpec((4,)), grid16)
+    state0, _ = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    calls = _counted_laplacians(monkeypatch)
+    state = State(grid16, state0.f, state0.u, 0.5)
+    assert np.array_equal(state.lap_u, np.zeros((1, 16, 16)))
+    assert np.array_equal(state.lap_f, np.zeros((16, 16)))
+    assert calls == [(1, 16, 16)]
+
+
+def test_state_laplacians_of_an_unprojected_state_are_separate(monkeypatch, grid16):
+    # u_2 is -u_1 only up to one ulp in one point: f and u are transformed
+    # apart, each only when asked for.
+    rng = np.random.default_rng(73)
+    f = random_band_limited(grid16, rng, kmax=3)
+    u = _trace_projected(random_band_limited(grid16, rng, kmax=3)[None])
+    u[1, 3, 5] = np.nextafter(u[1, 3, 5], np.inf)
+    lap_f, lap_u = grid16.laplacian(f), grid16.laplacian(u)
+    calls = _counted_laplacians(monkeypatch)
+    state = State(grid16, f, u, 0.5)
+    assert np.array_equal(state.lap_u, lap_u)
+    assert calls == [(2, 16, 16)]
+    assert np.array_equal(state.lap_f, lap_f)
+    assert calls == [(2, 16, 16), (16, 16)]
+
+
 def test_apply_linearization_rank_two_matches_full_transform(grid16):
     # At rank 2 lap(du_2) is taken as -lap(du_1), which is bit for bit the
-    # transform of du_2 = -du_1.
+    # transform of du_2 = -du_1.  dR_f is formed from the linearization's
+    # coefficients D = sum_i 1/M_i, lambda + a with a = sum_i w_i / M_i, and
+    # e^f / M_i; it agrees with the sum over the M_i to rounding.
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid16)
     state, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
@@ -563,5 +636,12 @@ def test_apply_linearization_rank_two_matches_full_transform(grid16):
     ef_u_df = lin.ef_u * df
     ef_du = lin.ef * np.stack([du1, -du1])
     assert np.array_equal(dr_u, lap[1:] - ef_u_df - ef_du)
+    inv_m = 1.0 / lin.m
+    d = np.sum(inv_m, axis=0)
+    lam_a = params.lam + np.sum(lin.ef_u * inv_m, axis=0)
+    assert np.array_equal(
+        dr_f, d * lap[0] - lam_a * df - np.sum(lin.ef * inv_m * np.stack([du1, -du1]), axis=0)
+    )
     dm = lap[:1] - ef_u_df - ef_du
-    assert np.array_equal(dr_f, np.sum(dm * lin.inv_m, axis=0) - params.lam * df)
+    summed = np.sum(dm * inv_m, axis=0) - params.lam * df
+    assert np.max(np.abs(dr_f - summed)) <= 1e-13 * np.max(np.abs(summed))

@@ -545,7 +545,7 @@ def test_newton_rejects_non_finite_trials(monkeypatch, constant_setup):
     start = State(grid, cf.f + grid.sample(lambda X, Y: 0.1 * np.cos(2 * np.pi * X)), cf.u, 0.5)
 
     def nan_direction(state, *args):
-        return np.full_like(state.f, np.nan), np.full_like(state.u, np.nan), False
+        return np.full_like(state.f, np.nan), np.full_like(state.u, np.nan), False, 0
 
     monkeypatch.setattr(solvers, "_newton_direction", nan_direction)
     with pytest.raises(NoDescentError):
@@ -607,13 +607,14 @@ def test_newton_preconditioner_exact_on_constant_data(monkeypatch):
     # On constant data the Jacobian has constant coefficients, so the
     # preconditioner, the Jacobian at the mean state with its coupling, is
     # its exact inverse: every GMRES solve of the (-1, 5) march takes one inner step,
-    # plus the restart's true residual.  A preconditioner without the
-    # coupling between f and u takes more.
+    # one operator application, whose product also gives the true residual,
+    # and two preconditioner ones (M b and the inner step).  A
+    # preconditioner without the coupling between f and u takes more.
     per_solve = _count_gmres_steps(monkeypatch)
     report = march(BundleSpec((-1, 5)), DemaillyParams(lam=8.0, alpha0=10.0), make_grid(16, 4.0))
     assert report.breakdown_t == 0.9749755859375
     assert len(per_solve) == 11
-    assert per_solve == [(2, 2)] * 11
+    assert per_solve == [(1, 2)] * 11
 
 
 _SCHUR_CASES = [
