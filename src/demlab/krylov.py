@@ -28,7 +28,11 @@ Operators and preconditioners are anything with a ``matvec`` method;
 ``LinearMap`` wraps a function and also carries ``shape`` and ``dtype``.
 Both methods take the tolerance, the iteration budget and the
 preconditioner ``M`` as keywords, with no defaults.
-Convergence means ``|b - A x| <= rtol |b|`` in the 2-norm.
+Convergence means ``|b - A x| <= rtol |b|`` in the 2-norm.  ``cg`` measures
+it on the residual its recurrence updates, which tracks b - A x up to
+rounding of the order eps |A| |x|; at rtol near 1e-13 that drift is as large
+as the target, so a caller that needs the tolerance there checks b - A x
+itself, as the default ``solve_helmholtz`` does.
 """
 
 from __future__ import annotations

@@ -4,7 +4,9 @@ Four layers, bottom up:
 
 * ``solve_helmholtz``: the linear kernel (lap - c) w = rhs with c > 0,
   solved spectrally when c is constant and by conjugate gradients
-  (``krylov.cg``, preconditioned by the mean coefficient) otherwise.
+  (``krylov.cg``, preconditioned by the mean coefficient) otherwise: by
+  default to a checked sup residual of 1e-11 (|rhs| + |w|), or, given a
+  relative tolerance ``rtol``, in one CG solve to that tolerance.
   Everything else reduces to it.
 * ``solve_t0``: the explicit construction of the starting solution at t=0
   (f = 0, twist logs from one Helmholtz solve per summand) together with the
@@ -13,7 +15,8 @@ Four layers, bottom up:
   are solutions; U resolves the determinant equation for the potential at
   frozen twist (an auxiliary 0 <= s <= 1 continuation from the incoming
   potential, tried in one step to s = 1 first, its step halved on failure
-  and doubled again after each success),
+  and doubled again after each success, each inner Newton correction
+  solved inexactly to the forcing tolerance of ``newton_at_t``),
   V resolves the trace-free equations at frozen potential (r-1 Helmholtz
   solves, the last twist log rebuilt from the trace constraint).
   ``picard_step`` applies U, then V at the new potential, and reports the
@@ -23,7 +26,8 @@ Four layers, bottom up:
 * ``newton_at_t``: damped Newton at fixed t on the reduced unknowns
   (f, u_1..u_{r-1}), with u_r eliminated so det g = 1 holds exactly.  The
   linear systems use the exact Frechet derivative, solved by restarted
-  GMRES (``krylov.gmres``) to a relative tolerance of min(3e-4, residual);
+  GMRES (``krylov.gmres``) to the forcing tolerance min(3e-4, residual)
+  (``_forcing``, floored at 1e-13);
   GMRES applies the Jacobian once per inner step and once per restart, and
   ``NewtonReport.krylov_matvecs`` counts those applications.
   The preconditioner is the exact inverse of the Jacobian frozen at the
@@ -88,19 +92,29 @@ _MAX_ITERS = 50  # Newton iteration budget per solve
 _MAX_F_STEP = 5.0  # |df| clamp per damped step, guards e^(lambda f) overflow
 
 
-def solve_helmholtz(grid: Grid, c, rhs: ScalarField) -> ScalarField:
+def solve_helmholtz(grid: Grid, c, rhs: ScalarField, *, rtol=None) -> ScalarField:
     """Solve lap(w) - c*w = rhs for strictly positive c.
 
     ``c`` may be a scalar or a field.  The operator is symmetric negative
-    definite, so the solution is unique.  The result satisfies the equation
-    with sup-norm residual at most 1e-11 * (|rhs| + |w|); failure to reach
-    that target raises HelmholtzError.
+    definite, so the solution is unique.  A constant coefficient is solved
+    spectrally, to roundoff, whatever ``rtol`` is.
 
-    A variable coefficient is solved by CG, preconditioned by the mean
+    By default (``rtol=None``) the result satisfies the equation with
+    sup-norm residual at most 1e-11 * (|rhs| + |w|); failure to reach that
+    target raises HelmholtzError.  A variable coefficient is then solved by
+    CG to a relative tolerance of 1e-13, preconditioned by the mean
     coefficient, with up to 4 rounds of iterative refinement on the true
     residual.  Refinement stops early, raising HelmholtzError, as soon as a
     round fails to halve the sup residual of the round before.
+
+    With ``rtol`` given, finite and in (0, 1), a variable coefficient is
+    solved inexactly: one CG solve with the same preconditioner to
+    |rhs - (lap - c) w| <= rtol |rhs| in the 2-norm, as CG's recurrence
+    residual measures it, with no refinement and no Laplacian to verify.
+    A solve that misses within 400 iterations raises HelmholtzError.
     """
+    if rtol is not None and not (np.isfinite(rtol) and 0.0 < rtol < 1.0):
+        raise ValueError(f"rtol must be finite and in (0, 1), got {rtol}")
     rhs = grid.bind(rhs)
     c_arr = np.asarray(c, dtype=float)
     if c_arr.ndim == 0:
@@ -130,6 +144,13 @@ def solve_helmholtz(grid: Grid, c, rhs: ScalarField) -> ScalarField:
     op = LinearMap(nn, matvec)
     prec = LinearMap(nn, precond)
     b = -rhs.ravel()
+    if rtol is not None:
+        x, info = cg(op, b, rtol=rtol, maxiter=400, M=prec)
+        if info != 0:
+            raise HelmholtzError(
+                f"CG missed relative tolerance {rtol:.1e} in 400 iterations"
+            )
+        return x.reshape(n, n)
     x = np.zeros(nn)
     # The first round starts from x = 0, where the residual b - matvec(x) is b.
     r = b
@@ -225,6 +246,17 @@ def _l_inverse_slope(v: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
 _LOG_ETA_LIMIT = 700.0  # e^x is a normal, finite float for |x| below this
 
 
+def _forcing(res: float) -> float:
+    """Relative tolerance of the linear solve of a Newton step at residual sup ``res``.
+
+    The inexact-Newton rule (Dembo, Eisenstat & Steihaug 1982): the inner
+    tolerance follows the nonlinear residual, so the last steps converge
+    quadratically, and is capped at 3e-4: at 1e-3 the last residual of an
+    ample march could land near newton_tol and cost a fifth iteration.
+    """
+    return max(min(3e-4, res), 1e-13)
+
+
 def u_step(
     f_in: ScalarField,
     u: np.ndarray,
@@ -247,10 +279,13 @@ def u_step(
     inner Newton trial whose density e^(lambda U) a0 leaves the floating-point
     range is backtracked, and an inner solve that fails (no decrease, a
     coefficient that is not finite and positive, a Helmholtz solve that
-    misses its target, or no convergence in 30 iterations) fails the
-    s-step.  The pointwise admissibility
-    lap(U) + A_i > 0 is asserted after every accepted s-step.  Raises
-    PathStallError when the s-step falls below 1e-4.
+    misses its tolerance, or no convergence in 30 iterations) fails the
+    s-step.  Each Newton correction is an inexact Helmholtz solve to the
+    relative tolerance ``_forcing(res)`` = max(min(3e-4, res), 1e-13),
+    res the sup of the path residual, the rule ``newton_at_t`` applies to
+    its GMRES solves; only the path residual decides convergence.  The
+    pointwise admissibility lap(U) + A_i > 0 is asserted after every
+    accepted s-step.  Raises PathStallError when the s-step falls below 1e-4.
 
     Each Laplacian is taken once per iterate: lap(f_in) serves the path's
     s = 0 term and the first inner Newton's start, and the Laplacian of an
@@ -294,7 +329,7 @@ def u_step(
             if not (np.all(np.isfinite(coeff)) and np.min(coeff) > 0.0):
                 return cand, lap, False
             try:
-                delta = solve_helmholtz(grid, coeff, -rho)
+                delta = solve_helmholtz(grid, coeff, -rho, rtol=_forcing(res))
             except HelmholtzError:
                 return cand, lap, False
             top = grid.sup(delta)
@@ -433,7 +468,7 @@ def _mean_jacobian_symbols(lin):
     return 1.0 / schur, twist, c_bar * (inv_m_bar[:-1] - inv_m_bar[-1]), w_bar[:-1]
 
 
-def _newton_direction(state, lin, r_f, r_u, forcing):
+def _newton_direction(state, lin, r_f, r_u, res):
     grid = state.grid
     n = grid.n
     nn = n * n
@@ -470,11 +505,7 @@ def _newton_direction(state, lin, r_f, r_u, forcing):
     op = LinearMap(size, matvec)
     prec = LinearMap(size, precond)
     b = -np.concatenate([r_f.ravel(), r_u[:nu].ravel()])
-    # The inner tolerance follows the Newton residual, capped at 3e-4: at
-    # 1e-3 the last residual of an ample march could land near newton_tol
-    # and cost a fifth iteration.
-    rtol = max(min(3e-4, forcing), 1e-13)
-    z, info = gmres(op, b, rtol=rtol, restart=80, maxiter=5, M=prec)
+    z, info = gmres(op, b, rtol=_forcing(res), restart=80, maxiter=5, M=prec)
     return (*unpack(z), info != 0, matvecs)
 
 

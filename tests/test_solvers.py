@@ -154,6 +154,39 @@ def test_helmholtz_keeps_refining_while_rounds_progress(monkeypatch, grid16):
     assert grid16.sup(res) <= 1e-11 * (grid16.sup(rhs) + grid16.sup(w))
 
 
+def test_helmholtz_inexact_solve_raises_on_a_miss(monkeypatch, grid16):
+    # With rtol given, the solve is one CG solve with no refinement; at the
+    # span e^+-40 it misses even the loose forcing tolerance 3e-4 within 400
+    # iterations, and the miss raises instead of returning the last iterate.
+    infos = _count_cg(monkeypatch)
+    rhs = grid16.sample(lambda X, Y: np.cos(2 * np.pi * X) + 0.5 * np.sin(4 * np.pi * Y))
+    for amplitude in (40.0, 35.0):
+        with pytest.raises(HelmholtzError):
+            solve_helmholtz(grid16, _wide_coefficient(grid16, amplitude), rhs, rtol=3e-4)
+    assert infos == [400, 400]
+
+
+def test_helmholtz_inexact_solve_meets_its_tolerance(monkeypatch, grid16):
+    # One CG solve, whose 2-norm residual is at most rtol |rhs|.
+    infos = _count_cg(monkeypatch)
+    rng = np.random.default_rng(8)
+    c = np.exp(random_band_limited(grid16, rng, kmax=3, amplitude=0.9))
+    rhs = random_band_limited(grid16, rng, kmax=4, amplitude=0.7)
+    for rtol in (3e-4, 1e-8):
+        w = solve_helmholtz(grid16, c, rhs, rtol=rtol)
+        res = grid16.laplacian(w) - c * w - rhs
+        assert np.linalg.norm(res) <= rtol * np.linalg.norm(rhs)
+    assert infos == [0, 0]
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1.0, -1e-3, 2.0, np.nan, np.inf])
+def test_helmholtz_rejects_rtol_outside_the_unit_interval(grid16, rtol):
+    rhs = np.ones((16, 16))
+    for c in (2.0, _wide_coefficient(grid16, 1.0)):
+        with pytest.raises(ValueError, match="rtol"):
+            solve_helmholtz(grid16, c, rhs, rtol=rtol)
+
+
 # --------------------------------------------------------------------- t=0
 
 
@@ -325,32 +358,33 @@ def test_u_step_stalls_when_density_leaves_float_range(grid16):
 
 
 def test_u_step_helmholtz_failure_fails_the_s_step(monkeypatch, grid16):
-    # From this start the s=1 step's first variable-coefficient solve misses
-    # its target (the coefficient spans 4e-13 to 4e8).  That must fail the
-    # s-step, not escape as HelmholtzError; the halved step s=0.5 and then
-    # s=1 succeed.  U is checked against the equation it solves, with the
-    # shifts A_i = 1/r - e^f_in u_i + alpha0 (1 - t) written out.
+    # From this start the s=1 step's first Helmholtz solve misses its
+    # forcing tolerance 3e-4 within 400 CG iterations (the coefficient spans
+    # e^-0.1 to e^17.6).  That must fail the s-step, not escape as
+    # HelmholtzError; the halved step s=0.5 and then s=1 succeed.  U is
+    # checked against the equation it solves, with the shifts
+    # A_i = 1/r - e^f_in u_i + alpha0 (1 - t) written out.
     spec = BundleSpec.cosine_pair((1, 3), 0.2, ((1, 1),))
     curv = build_curvature(spec, grid16)
-    state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=10.0))
+    state0, params = solve_t0(curv, DemaillyParams(lam=200.0, alpha0=1000.0))
     bump = random_band_limited(grid16, np.random.default_rng(1), kmax=2, amplitude=0.1)
     f_in = state0.f + bump
     failures = []
     real_solve = solvers.solve_helmholtz
 
-    def recording_solve(grid, c, rhs):
+    def recording_solve(grid, c, rhs, **kwargs):
         try:
-            return real_solve(grid, c, rhs)
+            return real_solve(grid, c, rhs, **kwargs)
         except HelmholtzError:
-            failures.append(c)
+            failures.append(kwargs["rtol"])
             raise
 
     monkeypatch.setattr(solvers, "solve_helmholtz", recording_solve)
     U = u_step(f_in, state0.u, 0.5, curv, params)
-    assert failures
+    assert failures == [3e-4]
     shifts = 0.5 - np.exp(f_in)[None, :, :] * state0.u + 0.5 * params.alpha0
     lap_u = grid16.laplacian(U)
-    target = l_inverse(shifts, np.exp(400.0 * U) * params.a0)
+    target = l_inverse(shifts, np.exp(200.0 * U) * params.a0)
     assert np.max(np.abs(lap_u - target)) <= params.newton_tol
     assert np.min(lap_u[None, :, :] + shifts) > 0.0
 
@@ -367,9 +401,9 @@ def test_u_step_grows_the_s_step_after_success(monkeypatch, grid16):
     solves = []
     real_solve = solvers.solve_helmholtz
 
-    def counted_solve(*args):
+    def counted_solve(*args, **kwargs):
         solves.append(1)
-        return real_solve(*args)
+        return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
     U = u_step(f_in, state0.u, 0.5, curv, params)
@@ -719,10 +753,28 @@ def test_newton_agrees_with_iterated_picard_at_t0(grid16):
     assert state_distance(newton_sol, picard_sol) <= 1e-8
 
 
+def _count_cg_matvecs(monkeypatch):
+    # Wraps solvers.cg; returns a list that grows by one per operator application.
+    applied = []
+    real_cg = solvers.cg
+
+    def counted(A, b, **kwargs):
+        def matvec(x):
+            applied.append(1)
+            return A.matvec(x)
+
+        return real_cg(LinearMap(A.size, matvec), b, **kwargs)
+
+    monkeypatch.setattr(solvers, "cg", counted)
+    return applied
+
+
 def test_picard_readme_case_t1_work_pinned(monkeypatch):
     # The README case at n=32, started from the t=0 state at t=1, under
     # strict numerics.  Each step is one u_step and one v_step (r-1 = 1
-    # Helmholtz solve); every u_step is accepted at s=1.
+    # Helmholtz solve); every u_step is accepted at s=1.  u_step's inner
+    # solves stop at the Newton forcing tolerance, so all 18 solves take 41
+    # CG matvecs; solved to 1e-13 they took 71.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid)
@@ -731,17 +783,19 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
     solves = []
     real_solve = solvers.solve_helmholtz
 
-    def counted_solve(*args):
+    def counted_solve(*args, **kwargs):
         solves.append(args[0].n)
-        return real_solve(*args)
+        return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    matvecs = _count_cg_matvecs(monkeypatch)
     state = State(grid, state0.f, state0.u, 1.0)
     with np.errstate(all="raise"):
         state, gap, steps = picard_solve(state, curv, filled, gap_tol=1e-9, max_steps=100)
     assert gap <= 1e-9
     assert steps == 5
     assert len(solves) - steps == 13  # u_step's inner Newton solves
+    assert len(matvecs) == 41
     monkeypatch.undo()
     newton = march(spec, replace(params, dt0=1.0), grid).final_state
     assert state_distance(state, newton) <= 1e-8
@@ -749,13 +803,16 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
 
 def test_picard_step_laplacian_count_pinned(monkeypatch):
     # The first Picard step of the README case at n=32, from the t=0 state
-    # taken to t=1, takes 57 Laplacians.  V is taken at the new potential U,
-    # not at the start's f = 0, so its Helmholtz coefficient e^U varies and
-    # the solve goes through CG (4 matvecs).  The count rises when a Helmholtz
-    # solve takes the Laplacian of its zero start, when u_step's
-    # admissibility check recomputes the Laplacian of its last path residual,
-    # or when an inner Newton recomputes the Laplacian of its start (f_in,
-    # whose Laplacian u_step already holds, or an accepted trial).
+    # taken to t=1, takes 28 Laplacians: u_step takes one of f_in, one per
+    # inner Newton trial (8) and one per matvec of its 8 inexact CG solves
+    # (15); V, taken at the new potential U, not at the start's f = 0, has
+    # a varying Helmholtz coefficient e^U, so its exact solve goes through
+    # CG (3 matvecs) and checks its residual (1).  The count rises when a
+    # Helmholtz solve takes the Laplacian of its zero start, when an inexact
+    # solve checks its residual, when u_step's admissibility check
+    # recomputes the Laplacian of its last path residual, or when an inner
+    # Newton recomputes the Laplacian of its start (f_in, whose Laplacian
+    # u_step already holds, or an accepted trial).
     grid = make_grid(32, 4.0)
     curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
     state0, filled = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
@@ -768,4 +825,4 @@ def test_picard_step_laplacian_count_pinned(monkeypatch):
 
     monkeypatch.setattr(Grid, "laplacian", counted)
     picard_step(State(grid, state0.f, state0.u, 1.0), curv, filled)
-    assert len(calls) == 57
+    assert len(calls) == 28
