@@ -397,24 +397,25 @@ def run_solve(config: RunConfig, out_dir) -> int:
     return 0 if report.reached_t1 else 2
 
 
+# Snapshot header key -> the config's value it must equal; an unset alpha0
+# (None) matches any stored one.
+_SNAPSHOT_HEADER = {
+    "n": lambda c: c.n,
+    "r": lambda c: c.rank,
+    "degrees": lambda c: tuple(c.degrees),
+    "lambda": lambda c: c.lam_value,
+    "alpha0": lambda c: c.alpha0,
+}
+
+
 def run_verify(snapshot_path, config: RunConfig) -> int:
     """Recheck a persisted state: residual plus the full diagnostics battery."""
     state, meta = load_snapshot(snapshot_path)
     mismatches = []
-    if meta["n"] != config.n:
-        mismatches.append(f"n: snapshot {meta['n']} vs config {config.n}")
-    if meta["r"] != config.rank:
-        mismatches.append(f"r: snapshot {meta['r']} vs config {config.rank}")
-    if tuple(meta["degrees"]) != tuple(config.degrees):
-        mismatches.append("degrees differ")
-    if meta["lambda"] != config.lam_value:
-        mismatches.append(
-            f"lambda: snapshot {meta['lambda']} vs config {config.lam_value}"
-        )
-    if config.alpha0 is not None and meta["alpha0"] != config.alpha0:
-        mismatches.append(
-            f"alpha0: snapshot {meta['alpha0']} vs config {config.alpha0}"
-        )
+    for key, value in _SNAPSHOT_HEADER.items():
+        want = value(config)
+        if want is not None and meta[key] != want:
+            mismatches.append(f"{key}: snapshot {meta[key]} vs config {want}")
     if mismatches:
         raise SnapshotParseError("snapshot inconsistent with config: " + "; ".join(mismatches))
 

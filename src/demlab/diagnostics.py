@@ -39,7 +39,6 @@ from .model import (
     state_distance,
 )
 from .solvers import (
-    HelmholtzError,
     MaxIterationsError,
     NewtonReport,
     NoDescentError,
@@ -250,7 +249,7 @@ def multistart_uniqueness(
     for start in starts:
         try:
             sol, rep = newton_at_t(start, 0.0, curv, params)
-        except (ConeViolationError, NoDescentError, MaxIterationsError, HelmholtzError):
+        except (ConeViolationError, NoDescentError, MaxIterationsError):
             n_failed += 1
             continue
         solutions.append(sol)

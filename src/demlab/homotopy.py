@@ -47,7 +47,6 @@ from .model import (
 )
 from .diagnostics import DiagnosticsRecord, run_diagnostics
 from .solvers import (
-    HelmholtzError,
     MaxIterationsError,
     NewtonReport,
     NoDescentError,
@@ -67,7 +66,6 @@ _REJECT_REASON = {
     ConeViolationError: "cone",
     NoDescentError: "no_descent",
     MaxIterationsError: "max_iters",
-    HelmholtzError: "helmholtz",
 }
 
 
@@ -87,8 +85,8 @@ class MarchReport:
     """Everything the march produced, breakdown time and reason included.
 
     ``breakdown_reason`` is the rejection class of the failed attempt at the
-    floor step (``cone``, ``max_iters``, ``no_descent``, ``diagnostics`` or
-    ``helmholtz``), or None when the march reached t=1.
+    floor step (``cone``, ``max_iters``, ``no_descent`` or ``diagnostics``),
+    or None when the march reached t=1.
     """
 
     steps: list[MarchStep]

@@ -259,14 +259,14 @@ class State:
     ``f`` and ``u`` are read-only views of the arrays passed in, not
     copies: those arrays keep their own flags, and writing to them after
     the state is built is not supported, since it would change the state
-    under its kept Laplacians.  ``lap_f`` and ``lap_u`` are taken once, on
-    first use, and kept.  When neither is kept yet and u is trace-projected
-    (u_r equals -(u_1 + ... + u_{r-1}) bit for bit, as on every state the
-    solvers make), both come from one stacked transform of
-    (f, u_1..u_{r-1}) with lap(u_r) = -(lap(u_1) + ... + lap(u_{r-1})),
-    which at rank 2 is bit for bit the transform of u_2.  Otherwise each is
-    transformed on its own.  ``at`` moves a state to another t and carries
-    over the Laplacians that still hold.
+    under its kept Laplacians.  ``lap_f`` and ``lap_u`` are one pair, taken
+    on first use in one stacked transform and kept.  When u is
+    trace-projected (u_r equals -(u_1 + ... + u_{r-1}) bit for bit, as on
+    every state the solvers make), the transform is of (f, u_1..u_{r-1})
+    and lap(u_r) = -(lap(u_1) + ... + lap(u_{r-1})), which at rank 2 is bit
+    for bit the transform of u_2; otherwise it is of (f, u_1..u_r).
+    ``at`` moves a state to another t and shares the pair when u is
+    unchanged.
     """
 
     grid: Grid
@@ -291,45 +291,34 @@ class State:
         return self.u.shape[0]
 
     @cached_property
+    def _laplacians(self) -> tuple[ScalarField, np.ndarray]:
+        """(lap f, lap u), read-only, from one stacked transform."""
+        u = self.u
+        projected = _bit_equal(u[-1], -np.sum(u[:-1], axis=0))
+        head = u[:-1] if projected else u
+        lap = self.grid.laplacian(np.concatenate([self.f[None, :, :], head]))
+        lap_u = _with_trace_row(lap[1:]) if projected else lap[1:]
+        return _read_only(lap[0]), _read_only(lap_u)
+
+    @property
     def lap_f(self) -> ScalarField:
         """lap(f), read-only."""
-        if self._take_stacked_laplacians():
-            return self.lap_f
-        return _read_only(self.grid.laplacian(self.f))
+        return self._laplacians[0]
 
-    @cached_property
+    @property
     def lap_u(self) -> np.ndarray:
         """lap(u_i) stacked, shape (r, n, n), read-only."""
-        if self._take_stacked_laplacians():
-            return self.lap_u
-        return _read_only(self.grid.laplacian(self.u))
-
-    def _take_stacked_laplacians(self) -> bool:
-        """Keep lap f and lap u from one transform when the state allows it.
-
-        True when it did: neither was kept yet and u is trace-projected.
-        """
-        kept = self.__dict__
-        u = self.u
-        if "lap_f" in kept or "lap_u" in kept:
-            return False
-        if not _bit_equal(u[-1], -np.sum(u[:-1], axis=0)):
-            return False
-        lap = self.grid.laplacian(np.concatenate([self.f[None, :, :], u[:-1]]))
-        kept["lap_f"] = _read_only(lap[0])
-        kept["lap_u"] = _read_only(_with_trace_row(lap[1:]))
-        return True
+        return self._laplacians[1]
 
     def at(self, t: float, u: np.ndarray) -> "State":
-        """The state (f, u) at parameter t, sharing this state's Laplacians where they hold.
+        """The state (f, u) at parameter t, sharing this state's Laplacians when u is unchanged.
 
-        lap(f) always carries over; lap(u) carries over only when ``u``
-        equals this state's u bit for bit.
+        The pair is shared only when ``u`` equals this state's u bit for
+        bit; otherwise the moved state takes its own.
         """
         moved = State(self.grid, self.f, u, t)
-        moved.__dict__["lap_f"] = self.lap_f
         if _bit_equal(moved.u, self.u):
-            moved.__dict__["lap_u"] = self.lap_u
+            moved.__dict__["_laplacians"] = self._laplacians
         return moved
 
     def trace_sup(self) -> float:
@@ -368,12 +357,18 @@ def cone_shift(w, t: float, alpha0: float) -> np.ndarray:
     return 1.0 / len(w) - w + (1.0 - t) * alpha0
 
 
-def cone_factors(state: State, params: DemaillyParams) -> np.ndarray:
-    """The matrix entries M_i = lap(f) + 1/r - e^f u_i + (1-t) alpha0, shape (r, n, n)."""
+def _cone_terms(state: State, params: DemaillyParams):
+    """(e^f, w, M) at a state, with w_i = e^f u_i and M the cone factors M_i."""
     if params.alpha0 is None:
         raise ValueError("alpha0 not set")
-    w = np.exp(state.f) * state.u
-    return state.lap_f[None, :, :] + cone_shift(w, state.t, params.alpha0)
+    ef = np.exp(state.f)
+    w = ef[None, :, :] * state.u
+    return ef, w, state.lap_f[None, :, :] + cone_shift(w, state.t, params.alpha0)
+
+
+def cone_factors(state: State, params: DemaillyParams) -> np.ndarray:
+    """The matrix entries M_i = lap(f) + 1/r - e^f u_i + (1-t) alpha0, shape (r, n, n)."""
+    return _cone_terms(state, params)[2]
 
 
 def cone_margin(state: State, params: DemaillyParams) -> float:
@@ -448,11 +443,7 @@ def _evaluate(
     unless every M_i is above the cone floor, so a NaN factor raises too.
     """
     log_a0 = params.log_a0
-    if params.alpha0 is None:
-        raise ValueError("alpha0 not set")
-    ef = np.exp(state.f)
-    w = ef[None, :, :] * state.u
-    m = state.lap_f[None, :, :] + cone_shift(w, state.t, params.alpha0)
+    ef, w, m = _cone_terms(state, params)
     floor = params.cone_floor_value
     m_min = float(np.min(m))
     if not m_min > floor:

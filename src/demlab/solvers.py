@@ -9,8 +9,8 @@ Four layers, bottom up:
   relative tolerance ``rtol``, in one CG solve to that tolerance.
   Everything else reduces to it.
 * ``solve_t0``: the explicit construction of the starting solution at t=0
-  (f = 0, twist logs from one Helmholtz solve per summand) together with the
-  offset alpha0 and the reference density a0 it determines.
+  (f = 0, twist logs from ``v_step`` at f = 0) together with the offset
+  alpha0 and the reference density a0 it determines.
 * ``u_step`` / ``v_step``: the two halves of the fixed-point map whose zeros
   are solutions; U resolves the determinant equation for the potential at
   frozen twist (an auxiliary 0 <= s <= 1 continuation from the incoming
@@ -90,6 +90,24 @@ class MaxIterationsError(RuntimeError):
 _BACKTRACK_FLOOR = 2.0**-20
 _MAX_ITERS = 50  # Newton iteration budget per solve
 _MAX_F_STEP = 5.0  # |df| clamp per damped step, guards e^(lambda f) overflow
+
+
+def _backtrack(trial_at, res: float):
+    """The first trial of a halving backtrack whose residual falls below ``res``.
+
+    ``trial_at(alpha)`` is tried at alpha = 1, 1/2, 1/4, ... down to
+    _BACKTRACK_FLOOR; it returns a tuple ending in the trial's residual
+    sup, or None for an inadmissible trial.  Returns the accepted trial's
+    tuple with its alpha appended, or None when no trial above the floor
+    decreases the residual.
+    """
+    alpha = 1.0
+    while alpha >= _BACKTRACK_FLOOR:
+        found = trial_at(alpha)
+        if found is not None and found[-1] < res:
+            return (*found, alpha)
+        alpha *= 0.5
+    return None
 
 
 def solve_helmholtz(grid: Grid, c, rhs: ScalarField, *, rtol=None) -> ScalarField:
@@ -177,31 +195,27 @@ def solve_t0(
 ) -> tuple[State, DemaillyParams]:
     """Construct the exact t=0 solution and finish the parameter block.
 
-    Sets f = 0 and solves (lap - 1) u_i = s_i per summand; the twist logs sum
-    to zero because the s_i do and the operator is injective (asserted to
-    1e-10).  The last one is then rebuilt as u_r = -(u_1 + ... + u_{r-1}),
-    so the state is trace-projected bit for bit, like every state Newton
-    returns, and Newton from it keeps its lap u.  The offset is
+    Sets f = 0 and takes the twist logs from ``v_step`` at f = 0: they
+    solve (lap - 1) u_i = s_i, u_r rebuilt as -(u_1 + ... + u_{r-1}), so
+    the state is trace-projected bit for bit, like every state Newton
+    returns, and Newton from it keeps its Laplacians.  The offset is
     alpha0 = max(requested, 2, 2 max_i |u_i|) so the cone factors
     1/r + alpha0 - u_i stay positive with margin, and the reference density
-    is their product.  The returned state has residual at most 1e-10
-    (verified on every row, the rebuilt one included).
+    is their product.  The returned state has residual at most 1e-10,
+    verified on every row, so trace-free parts that do not cancel, which
+    leave the rebuilt row unsolved, raise RuntimeError.
     """
     grid = curv.grid
     r = curv.rank
     if params.lam <= r:
         raise ValueError(f"lambda must exceed the rank ({params.lam} <= {r})")
-    u0 = np.stack([solve_helmholtz(grid, 1.0, curv.s[i]) for i in range(r)])
-    trace = float(np.max(np.abs(np.sum(u0, axis=0))))
-    if trace > 1e-10:
-        raise RuntimeError(f"t=0 twist logs fail the trace constraint: {trace:.3e}")
-    u0 = _project_trace(u0)
+    f0 = np.zeros((grid.n, grid.n))
+    u0 = v_step(f0, curv)
     requested = params.alpha0 if params.alpha0 is not None else 0.0
     alpha0 = max(float(requested), 2.0, 2.0 * float(np.max(np.abs(u0))))
-    state = State(grid, np.zeros((grid.n, grid.n)), u0, 0.0)
-    a0 = np.prod(cone_shift(np.exp(state.f) * u0, 0.0, alpha0), axis=0)
-    if float(np.min(a0)) <= 0.0:
-        raise RuntimeError("reference density came out nonpositive")
+    state = State(grid, f0, u0, 0.0)
+    # w = e^0 u0 = u0.
+    a0 = np.prod(cone_shift(u0, 0.0, alpha0), axis=0)
     floor = replace(params, alpha0=alpha0).cone_floor_value
     filled = replace(params, alpha0=alpha0, a0=a0, cone_floor=floor)
     r_f, r_u = residual(state, curv, filled)
@@ -335,17 +349,16 @@ def u_step(
             top = grid.sup(delta)
             if top > _MAX_F_STEP:
                 delta *= _MAX_F_STEP / top
-            step = 1.0
-            while step >= _BACKTRACK_FLOOR:
+
+            def trial_at(step):
                 trial = cand + step * delta
                 rho_t, v_t, lap_t = path_residual(trial, s)
-                res_t = np.inf if rho_t is None else grid.sup(rho_t)
-                if res_t < res:
-                    cand, rho, v, lap, res = trial, rho_t, v_t, lap_t, res_t
-                    break
-                step *= 0.5
-            else:
+                return None if rho_t is None else (trial, rho_t, v_t, lap_t, grid.sup(rho_t))
+
+            accepted = _backtrack(trial_at, res)
+            if accepted is None:
                 return cand, lap, False
+            cand, rho, v, lap, res, _ = accepted
         return cand, lap, res <= params.newton_tol
 
     cand, lap_cand = f_in.copy(), lap_f_in
@@ -540,9 +553,8 @@ def newton_at_t(
     iterations.
 
     The initial state moves to t through ``State.at``, so its Laplacians
-    carry over: lap f always, lap u when the trace projection leaves u
-    unchanged, as it does on every state this solver and ``solve_t0``
-    return.
+    carry over when the trace projection leaves u unchanged, as it does on
+    every state this solver and ``solve_t0`` return.
 
     Each state, the start and every trial, is evaluated once
     (``model._evaluate``): one set of cone factors M_i gives its margin,
@@ -596,13 +608,9 @@ def newton_at_t(
         found = admissible(state.f + df_step, state.u + du_step)
         if found is not None and found[-1] < res:
             return (*found, 1.0)
-        alpha = 1.0
-        while alpha >= _BACKTRACK_FLOOR:
-            found = w_full if it == 0 and alpha == 1.0 else along_w(alpha)
-            if found is not None and found[-1] < res:
-                return (*found, alpha)
-            alpha *= 0.5
-        return None
+        return _backtrack(
+            lambda alpha: w_full if it == 0 and alpha == 1.0 else along_w(alpha), res
+        )
 
     for it in range(_MAX_ITERS + 1):
         margins.append(float(np.min(lin.m)))

@@ -450,6 +450,46 @@ def test_main_exit_codes_solve_and_verify(tmp_path, capsys):
     assert main(["verify", "--snapshot", str(snap), "--config", str(other_cfg)]) == 1
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("grid.n = 16", "grid.n = 32"),
+        ("bundle.r = 2\nbundle.degrees = 1,3", "bundle.r = 3\nbundle.degrees = 1,1,2"),
+        ("bundle.degrees = 1,3", "bundle.degrees = 2,2"),
+        ("params.lambda = 8", "params.lambda = 9"),
+        ("params.alpha0 = 10", "params.alpha0 = 12"),
+    ],
+)
+def test_verify_refuses_a_config_that_differs_from_the_snapshot(tmp_path, capsys, old, new):
+    config_path = _write(tmp_path, "run.cfg", CONSTANT_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert old in CONSTANT_CONFIG
+    other = _write(tmp_path, "other.cfg", CONSTANT_CONFIG.replace(old, new))
+    snap = out / "snapshots" / "state_0001.snap"
+    assert main(["verify", "--snapshot", str(snap), "--config", str(other)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("snapshot error:")
+
+
+def test_verify_refuses_a_stored_alpha0_below_the_admissible_floor(tmp_path, capsys):
+    # With no alpha0 in the config any stored value matches the header, but
+    # 1.0 is below the t=0 rule's floor of 2.
+    config_path = _write(
+        tmp_path, "run.cfg", CONSTANT_CONFIG.replace("params.alpha0 = 10\n", "")
+    )
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    state, meta = load_snapshot(out / "snapshots" / "state_0001.snap")
+    low = tmp_path / "low.snap"
+    save_snapshot(low, state, meta["lambda"], 1.0, meta["degrees"])
+    assert main(["verify", "--snapshot", str(low), "--config", str(config_path)]) == 1
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("snapshot error:") and "admissible floor" in error
+
+
 COSINE_CONFIG = CONSTANT_CONFIG + """
 bundle.perturbation.preset = cosine
 bundle.perturbation.amplitude = 0.2

@@ -603,9 +603,10 @@ def test_state_laplacians_of_a_rank_one_solver_state(monkeypatch, grid16):
     assert calls == [(1, 16, 16)]
 
 
-def test_state_laplacians_of_an_unprojected_state_are_separate(monkeypatch, grid16):
-    # u_2 is -u_1 only up to one ulp in one point: f and u are transformed
-    # apart, each only when asked for.
+def test_state_laplacians_of_an_unprojected_state_take_one_full_transform(monkeypatch, grid16):
+    # u_2 is -u_1 only up to one ulp in one point: lap f and lap u come from
+    # one transform of (f, u_1, u_2), whose slices equal the separate
+    # transforms bit for bit.
     rng = np.random.default_rng(73)
     f = random_band_limited(grid16, rng, kmax=3)
     u = _trace_projected(random_band_limited(grid16, rng, kmax=3)[None])
@@ -614,9 +615,31 @@ def test_state_laplacians_of_an_unprojected_state_are_separate(monkeypatch, grid
     calls = _counted_laplacians(monkeypatch)
     state = State(grid16, f, u, 0.5)
     assert np.array_equal(state.lap_u, lap_u)
-    assert calls == [(2, 16, 16)]
     assert np.array_equal(state.lap_f, lap_f)
-    assert calls == [(2, 16, 16), (16, 16)]
+    assert calls == [(3, 16, 16)]
+
+
+def test_state_at_shares_the_laplacians_only_for_an_unchanged_u(monkeypatch, grid16):
+    # The same u moves with its pair, shared and not recomputed; a u that
+    # differs in one ulp takes exactly one stacked transform of its own.
+    rng = np.random.default_rng(74)
+    f = random_band_limited(grid16, rng, kmax=3)
+    u = _trace_projected(random_band_limited(grid16, rng, kmax=3)[None])
+    bumped = u.copy()
+    bumped[0, 3, 5] = np.nextafter(bumped[0, 3, 5], np.inf)
+    lap_bumped = grid16.laplacian(bumped)
+    state = State(grid16, f, u, 0.5)
+    lap_f, lap_u = state.lap_f, state.lap_u
+    calls = _counted_laplacians(monkeypatch)
+    same = state.at(0.25, u.copy())
+    assert same.t == 0.25
+    assert same.lap_f is lap_f and same.lap_u is lap_u
+    assert calls == []
+    moved = state.at(0.25, bumped)
+    assert moved.lap_f is not lap_f
+    assert np.array_equal(moved.lap_f, lap_f)
+    assert np.array_equal(moved.lap_u, lap_bumped)
+    assert calls == [(3, 16, 16)]
 
 
 def test_apply_linearization_rank_two_matches_full_transform(grid16):

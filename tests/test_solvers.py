@@ -241,6 +241,19 @@ def test_solve_t0_state_is_trace_projected(monkeypatch):
     assert calls == []
 
 
+def test_solve_t0_refuses_trace_free_parts_that_do_not_cancel(grid16):
+    # Hand-built curvature data whose s_i miss sum_i s_i = 0 by 1e-9 cos:
+    # no twist logs with zero trace solve the trace-free equations, so the
+    # construction must refuse rather than return a state off the system.
+    good = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid16)
+    X, Y = grid16.coords()
+    s = good.s.copy()
+    s[0] += 1e-9 * np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y)
+    bad = model.CurvatureData(grid16, good.degrees, s + 1.0 / good.rank, s)
+    with pytest.raises(RuntimeError):
+        solve_t0(bad, DemaillyParams(lam=8.0, alpha0=10.0))
+
+
 def test_solve_t0_rejects_small_lambda(grid16):
     curv = build_curvature(BundleSpec((1, 3)), grid16)
     with pytest.raises(ValueError, match="lambda"):
