@@ -392,6 +392,10 @@ def run_solve(config: RunConfig, out_dir) -> int:
         "breakdown_reason": report.breakdown_reason,
         "min_f_overall": report.min_f,
         "steps": step_docs,
+        "rejected_attempts": [
+            {"t_try": t_try, "reason": reason, "predicted": predicted}
+            for t_try, reason, predicted in report.rejected
+        ],
     }
     (out / "report.json").write_text(json.dumps(doc, indent=2) + "\n")
     return 0 if report.reached_t1 else 2

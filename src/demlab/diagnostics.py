@@ -8,7 +8,7 @@ Every accepted continuation state is pushed through the same battery:
   with |u|^2 = sum u_i^2 and |s| the pointwise Euclidean norm of the
   trace-free densities;
 * trace constraint sum_i u_i = 0;
-* cone margin at or above its floor;
+* cone margin above its floor (``model.above_cone_floor``);
 * maximum-point witnesses: the Laplacian of f is nonpositive (up to
   discretization slack) at the argmax of f, and the product bound
   e^(lambda max f) a0 <= prod_i (1/r - e^(max f) u_i + (1-t) alpha0) holds
@@ -34,6 +34,7 @@ from .model import (
     CurvatureData,
     DemaillyParams,
     State,
+    above_cone_floor,
     cone_margin,
     cone_shift,
     state_distance,
@@ -169,16 +170,16 @@ def run_diagnostics(
         "amgm": AMGM_REL_TOL,
     }
     # A check passes only when value <= bound holds, so a NaN fails.  The
-    # cone margin is bounded below and enters negated: margin >= floor.
+    # cone margin passes by the floor rule Newton applies: strictly above.
     checks = (
-        ("integral_identity", float(np.max(identity)), thresholds["identity"]),
-        ("uy_inequality", uy, thresholds["uy"]),
-        ("trace_constraint", trace, thresholds["trace"]),
-        ("cone_margin", -margin, -thresholds["cone_floor"]),
-        ("argmax_slack", bounds["argmax_slack"], thresholds["argmax_slack"]),
-        ("amgm_bound", bounds["amgm_excess"], thresholds["amgm"]),
+        ("integral_identity", float(np.max(identity)) <= thresholds["identity"]),
+        ("uy_inequality", uy <= thresholds["uy"]),
+        ("trace_constraint", trace <= thresholds["trace"]),
+        ("cone_margin", above_cone_floor(margin, params)),
+        ("argmax_slack", bounds["argmax_slack"] <= thresholds["argmax_slack"]),
+        ("amgm_bound", bounds["amgm_excess"] <= thresholds["amgm"]),
     )
-    failed = [name for name, value, bound in checks if not value <= bound]
+    failed = [name for name, passed in checks if not passed]
     return DiagnosticsRecord(
         t=state.t,
         identity_errors=tuple(float(e) for e in identity),
@@ -227,7 +228,6 @@ def multistart_uniqueness(
     grid = curv.grid
     r = curv.rank
     rng = np.random.default_rng(seed)
-    floor = params.cone_floor_value
     starts = [base]
     attempts = 0
     while len(starts) < k:
@@ -241,7 +241,7 @@ def multistart_uniqueness(
         )
         du -= np.mean(du, axis=0)
         cand = State(grid, base.f + df, base.u + du, 0.0)
-        if cone_margin(cand, params) >= floor:
+        if above_cone_floor(cone_margin(cand, params), params):
             starts.append(cand)
     solutions = []
     reports = []

@@ -2,14 +2,23 @@
 
 The continuation is a predictor-corrector loop with an adaptive step: the
 predictor is the previous accepted state, the corrector is the damped Newton
-solve at the new t.  An accepted state whose Newton solve was fast (at most
-_FAST_ITERS iterations) and which did not follow a rejection grows the
-t-increment: straight to the rest of the range when the state, taken to
-t=1, still clears the cone floor, and otherwise by doubling, up to the
-length 1 of the t-range.  The exact t=0 state (0 iterations, no rejection
-before it) takes the same jump test; when it fails, the first increment is
-params.dt0, not doubled.  A rejected step halves the increment it actually
-tried, down to params.dt_floor.  A rejection at the floor is a
+solve at the new t.  At fixed (f, u) every cone factor
+M_i = lap f + 1/r - w_i + (1-t) alpha0 falls by exactly alpha0 dt as t moves
+by dt, so the accepted state's cone margin, less alpha0 dt, is the margin
+the next Newton solve starts from.  An attempt whose predicted start margin
+is below the cone floor by more than its rounding bound is a ``cone``
+rejection without a Newton solve (step-length control as in Allgower &
+Georg, Numerical Continuation Methods, 1990, ch. 6); Newton would refuse
+that start, so the march takes the same decisions either way.
+
+An accepted state whose Newton solve was fast (at most _FAST_ITERS
+iterations) and which did not follow a rejection grows the t-increment:
+straight to the rest of the range when the state, taken to t=1, still
+clears the cone floor, and otherwise by doubling, up to the length 1 of the
+t-range.  The exact t=0 state (0 iterations, no rejection before it) takes
+the same jump test; when it fails, the first increment is params.dt0, not
+doubled.  A rejected step, predicted or not, halves the increment it
+actually tried, down to params.dt_floor.  A rejection at the floor is a
 recorded breakdown, not an error, because losing the cone before t=1 is a
 meaningful outcome (it is the expected behaviour for non-ample data).
 
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,6 +52,7 @@ from .model import (
     ConeViolationError,
     DemaillyParams,
     State,
+    above_cone_floor,
     build_curvature,
 )
 from .diagnostics import DiagnosticsRecord, run_diagnostics
@@ -60,6 +70,11 @@ logger = logging.getLogger(__name__)
 # iterations jumps to t=1 or multiplies the t-increment by _GROW_FACTOR.
 _GROW_FACTOR = 2.0
 _FAST_ITERS = 3
+
+# A predicted start margin is trusted to this many ulps of the largest term
+# of M_i; a prediction closer to the floor than that still gets its Newton
+# attempt.
+_PREDICTION_ULPS = 16
 
 # Rejection class of each exception a corrector attempt may raise.
 _REJECT_REASON = {
@@ -86,13 +101,17 @@ class MarchReport:
 
     ``breakdown_reason`` is the rejection class of the failed attempt at the
     floor step (``cone``, ``max_iters``, ``no_descent`` or ``diagnostics``),
-    or None when the march reached t=1.
+    or None when the march reached t=1.  ``rejected`` holds one
+    ``(t_try, reason, predicted)`` per rejected attempt in march order, the
+    breakdown's included; ``predicted`` marks a ``cone`` rejection taken
+    from the accepted state's margin without a Newton solve.
     """
 
     steps: list[MarchStep]
     breakdown_t: float | None
     params: DemaillyParams
     breakdown_reason: str | None = None
+    rejected: list[tuple[float, str, bool]] = field(default_factory=list)
 
     @property
     def accepted_ts(self) -> list[float]:
@@ -145,6 +164,15 @@ def closed_form_state(
     return State(grid, f, u, t)
 
 
+def _margin_at(margin: float, t: float, t_try: float, params: DemaillyParams) -> float:
+    """The cone margin of the state accepted at t with ``margin``, taken to t_try.
+
+    Each cone factor falls at rate alpha0 in t at fixed (f, u), so this is
+    the margin the predictor (the accepted state) starts from at t_try.
+    """
+    return margin - params.alpha0 * (t_try - t)
+
+
 def _may_jump(
     t: float, report: NewtonReport, diag: DiagnosticsRecord, params: DemaillyParams
 ) -> bool:
@@ -153,10 +181,37 @@ def _may_jump(
     It does when the state's Newton solve was fast (at most _FAST_ITERS
     iterations) and the state, taken to t=1, still clears the cone floor.
     """
-    # Each cone factor falls at rate alpha0 in t, so this is the margin the
-    # predictor (the accepted state) has at t=1.
-    margin_at_1 = diag.cone_margin - params.alpha0 * (1.0 - t)
-    return report.iterations <= _FAST_ITERS and margin_at_1 >= params.cone_floor_value
+    return report.iterations <= _FAST_ITERS and above_cone_floor(
+        _margin_at(diag.cone_margin, t, 1.0, params), params
+    )
+
+
+def _rounding_bound(state: State, params: DemaillyParams) -> float:
+    """How far a predicted start margin may lie from the one Newton computes.
+
+    Both are sums of the terms of M_i, so _PREDICTION_ULPS ulps of
+    1/r + alpha0 + sup|lap f| + sup|w| at the accepted state bound their
+    rounding apart.
+    """
+    grid = state.grid
+    w_sup = grid.sup(np.exp(state.f) * state.u)
+    scale = 1.0 / state.rank + params.alpha0 + grid.sup(state.lap_f) + w_sup
+    return _PREDICTION_ULPS * float(np.finfo(float).eps) * scale
+
+
+def _predicts_rejection(
+    state: State, margin: float, t_try: float, params: DemaillyParams
+) -> bool:
+    """Whether Newton at t_try would refuse ``state``, accepted with ``margin``, as its start.
+
+    True when the predicted start margin is below the cone floor by more
+    than its rounding bound; the bound is taken only for a prediction that
+    does not clear the floor outright.
+    """
+    predicted = _margin_at(margin, state.t, t_try, params)
+    return not above_cone_floor(predicted, params) and not above_cone_floor(
+        predicted + _rounding_bound(state, params), params
+    )
 
 
 def _record(state: State) -> State:
@@ -175,15 +230,18 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     correcting with Newton from the previous accepted state.  An accepted
     state whose Newton solve took at most _FAST_ITERS iterations, and whose
     previous attempt was not rejected, may jump: dt becomes 1 - t when its
-    cone margin minus alpha0 (1 - t), its margin at t=1, is at least the
-    cone floor.  The t=0 state takes this test too, and when it fails the
+    cone margin minus alpha0 (1 - t), its margin at t=1, is above the cone
+    floor.  The t=0 state takes this test too, and when it fails the
     first dt is params.dt0; at a later state dt otherwise doubles, up to 1.
-    A failed jump is an ordinary rejection.  A rejected attempt sets
-    dt to half the step it tried, but not below params.dt_floor; when an
-    attempt at the floor fails the march stops, recording the last accepted
-    t as the breakdown time and the attempt's rejection class as the
-    breakdown reason.  Every accepted state passed Newton at tolerance and
-    the full diagnostics battery.
+    A failed jump is an ordinary rejection.  Before each attempt the
+    accepted state's margin is taken to t + dt the same way; when it is
+    below the cone floor by more than its rounding bound, the attempt is a
+    ``cone`` rejection without a Newton solve, recorded as predicted.  A
+    rejected attempt sets dt to half the step it tried, but not below
+    params.dt_floor; when an attempt at the floor fails the march stops,
+    recording the last accepted t as the breakdown time and the attempt's
+    rejection class as the breakdown reason.  Every accepted state passed
+    Newton at tolerance and the full diagnostics battery.
     """
     curv = build_curvature(spec, grid)
     state, params = solve_t0(curv, params)
@@ -195,8 +253,10 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
     if not diag.passed:
         raise RuntimeError(f"t=0 state failed diagnostics: {diag.failed}")
     steps.append(MarchStep(0.0, _record(state), report, diag, time.perf_counter() - begin))
+    rejected: list[tuple[float, str, bool]] = []
 
     t = 0.0
+    margin = diag.cone_margin
     dt = 1.0 if _may_jump(t, report, diag, params) else params.dt0
     after_rejection = False
     breakdown = reason = None
@@ -205,19 +265,28 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
         step = min(dt, 1.0 - t)
         t_try = min(t + dt, 1.0)
         reason = None
-        try:
-            cand, report = newton_at_t(state, t_try, curv, params)
-            diag = run_diagnostics(cand, curv, params)
-            if not diag.passed:
-                reason = "diagnostics"
-        except tuple(_REJECT_REASON) as exc:
-            reason = _REJECT_REASON[type(exc)]
-            logger.debug("step to t=%.6f rejected (%s): %s", t_try, reason, exc)
+        predicted = _predicts_rejection(state, margin, t_try, params)
+        if predicted:
+            reason = "cone"
+            logger.debug(
+                "step to t=%.6f rejected (%s): predicted from margin %.3e at t=%.6f",
+                t_try, reason, margin, t,
+            )
+        else:
+            try:
+                cand, report = newton_at_t(state, t_try, curv, params)
+                diag = run_diagnostics(cand, curv, params)
+                if not diag.passed:
+                    reason = "diagnostics"
+            except tuple(_REJECT_REASON) as exc:
+                reason = _REJECT_REASON[type(exc)]
+                logger.debug("step to t=%.6f rejected (%s): %s", t_try, reason, exc)
         if reason is None:
             now = time.perf_counter()
             steps.append(MarchStep(t_try, _record(cand), report, diag, now - clock))
             clock = now
             state, t = cand, t_try
+            margin = diag.cone_margin
             logger.info(
                 "accepted t=%.6f residual=%.2e margin=%.3e iters=%d",
                 t, report.final_residual, diag.cone_margin, report.iterations,
@@ -229,10 +298,11 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
                     dt = min(_GROW_FACTOR * dt, 1.0)
             after_rejection = False
         else:
+            rejected.append((t_try, reason, predicted))
             if step <= params.dt_floor:
                 breakdown = t
                 logger.info("breakdown recorded at t*=%.6f (%s)", t, reason)
                 break
             dt = max(0.5 * step, params.dt_floor)
             after_rejection = True
-    return MarchReport(steps, breakdown, params, reason)
+    return MarchReport(steps, breakdown, params, reason, rejected)

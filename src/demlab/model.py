@@ -380,6 +380,15 @@ def cone_margin(state: State, params: DemaillyParams) -> float:
     return float(np.min(cone_factors(state, params)))
 
 
+def above_cone_floor(margin: float, params: DemaillyParams) -> bool:
+    """The admissibility rule for a cone margin: strictly above the floor.
+
+    Every floor test goes through it, so a margin exactly at the floor is
+    refused everywhere, and so is a NaN one.
+    """
+    return bool(margin > params.cone_floor_value)
+
+
 def residual(
     state: State, curv: CurvatureData, params: DemaillyParams
 ) -> tuple[ScalarField, np.ndarray]:
@@ -444,11 +453,11 @@ def _evaluate(
     """
     log_a0 = params.log_a0
     ef, w, m = _cone_terms(state, params)
-    floor = params.cone_floor_value
     m_min = float(np.min(m))
-    if not m_min > floor:
+    if not above_cone_floor(m_min, params):
         raise ConeViolationError(
-            f"cone margin {m_min:.3e} at or below floor {floor:.3e} (t={state.t})"
+            f"cone margin {m_min:.3e} at or below floor {params.cone_floor_value:.3e}"
+            f" (t={state.t})"
         )
     r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - log_a0
     r_u = state.lap_u - curv.s - w

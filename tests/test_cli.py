@@ -416,6 +416,14 @@ def test_run_solve_non_ample_breakdown(tmp_path):
     assert report["reached_t1"] is False
     assert abs(report["breakdown_t"] - 0.975) <= 0.01
     assert report["breakdown_reason"] == "cone"
+    # Every rejected attempt is on record, the skipped ones included, and
+    # the last is the breakdown's; no entry carries a wall-clock field.
+    rejected = report["rejected_attempts"]
+    assert [list(entry) for entry in rejected] == [["t_try", "reason", "predicted"]] * len(
+        rejected
+    )
+    assert rejected[-1]["reason"] == "cone"
+    assert any(entry["predicted"] for entry in rejected)
 
 
 def test_main_exit_codes_solve_and_verify(tmp_path, capsys):
@@ -747,6 +755,7 @@ def test_artifact_layouts(tmp_path, capsys):
         "breakdown_reason",
         "min_f_overall",
         "steps",
+        "rejected_attempts",
     ]
     assert report["config"]["degrees"] == [1, 3]
     assert report["config"]["modes"] == [[1, 1]]

@@ -107,3 +107,20 @@ def test_counted_run_books_every_newton_direction_and_attempt(monkeypatch):
     assert probe.counts["homotopy.attempts"] == 2
     matvecs = sum(step.newton.krylov_matvecs for step in report.steps)
     assert probe.counts["solvers.gmres.matvecs"] == matvecs > 0
+
+
+def test_traced_attempts_are_the_report_attempts_that_ran_newton(monkeypatch):
+    # ``homotopy.attempts`` counts the Newton solves the march starts.  An
+    # attempt rejected from its predicted cone margin starts none, so the
+    # tracer misses it; ``MarchReport.rejected`` records it as predicted.
+    pytest.importorskip("scipy")
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import layers
+
+    grid = make_grid(16, 4.0)
+    with layers.instrument(layers.Probe(False), layers.TRACED) as probe:
+        report = march(BundleSpec((-1, 5)), DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    ran_newton = [reason for _, reason, predicted in report.rejected if not predicted]
+    assert len(ran_newton) < len(report.rejected)
+    assert probe.counts["homotopy.attempts"] == len(report.steps) + len(ran_newton)
+    assert probe.counts["homotopy.rejected.cone"] == ran_newton.count("cone")

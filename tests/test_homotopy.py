@@ -2,6 +2,7 @@
 
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from demlab import homotopy, solvers
 from demlab import (
     BundleSpec,
+    ConeViolationError,
     DemaillyParams,
     Grid,
     MaxIterationsError,
@@ -23,9 +25,11 @@ from demlab import (
     newton_at_t,
     residual,
     residual_sup,
+    run_diagnostics,
     solve_t0,
     state_distance,
 )
+from demlab.model import above_cone_floor
 
 # Frozen oracle values for degrees (1, 3), alpha0 = 10, lambda = 8, computed
 # independently from the constant-coefficient formula at high precision.
@@ -420,6 +424,148 @@ def test_march_cached_laplacians_match_recomputed(monkeypatch, spec, n):
     monkeypatch.setattr(State, "lap_f", property(lambda s: s.grid.laplacian(s.f)))
     monkeypatch.setattr(State, "lap_u", property(lambda s: s.grid.laplacian(s.u)))
     assert _march_record(march(spec, params, grid)) == cached
+
+
+def _spy_attempts(mp):
+    """Record a march's attempts in order as (t, outcome).
+
+    The outcome is None for a Newton solve that returned, the exception's
+    class name for one that raised, and "skipped" for an attempt the
+    pre-check rejected without a Newton solve.
+    """
+    attempts = []
+    real_newton = homotopy.newton_at_t
+    real_check = homotopy._predicts_rejection
+
+    def newton(initial, t, curv, params):
+        try:
+            out = real_newton(initial, t, curv, params)
+        except Exception as exc:
+            attempts.append((t, type(exc).__name__))
+            raise
+        attempts.append((t, None))
+        return out
+
+    def check(state, margin, t_try, params):
+        skip = real_check(state, margin, t_try, params)
+        if skip:
+            attempts.append((t_try, "skipped"))
+        return skip
+
+    mp.setattr(homotopy, "newton_at_t", newton)
+    mp.setattr(homotopy, "_predicts_rejection", check)
+    return attempts
+
+
+def _assert_skips_change_nothing(spec, params, grid):
+    # Oracle for the pre-check: with it never predicting a rejection, every
+    # attempt runs Newton, and the march must come out the same byte for
+    # byte, with Newton refusing at its start exactly the skipped attempts.
+    with pytest.MonkeyPatch.context() as mp:
+        attempts = _spy_attempts(mp)
+        skipping = march(spec, params, grid)
+        order = [t for t, _ in attempts]
+        skipped = [t for t, outcome in attempts if outcome == "skipped"]
+        assert "ConeViolationError" not in [outcome for _, outcome in attempts]
+        assert skipped == [t for t, _, predicted in skipping.rejected if predicted]
+        attempts.clear()
+        mp.setattr(homotopy, "_predicts_rejection", lambda *args: False)
+        trying = march(spec, params, grid)
+    assert _march_record(trying) == _march_record(skipping)
+    assert [t for t, _ in attempts] == order
+    assert [t for t, outcome in attempts if outcome == "ConeViolationError"] == skipped
+    assert [entry[:2] for entry in trying.rejected] == [
+        entry[:2] for entry in skipping.rejected
+    ]
+    return skipping
+
+
+@pytest.mark.parametrize(
+    "spec, lam, alpha0, n",
+    [
+        (BundleSpec((-1, 5)), 8.0, 10.0, 16),
+        (BundleSpec.cosine_pair((-1, 5), 0.05), 8.0, 10.0, 32),
+        # A grid-2 member whose march skips 5 of its 19 attempts.
+        (BundleSpec.cosine_pair((1, 3), 3.0, ((3, 2), (1, 0))), 40.0, 2.0, 32),
+    ],
+    ids=["constant", "wiggled", "grid2"],
+)
+def test_march_predicted_rejections_match_newton(spec, lam, alpha0, n):
+    report = _assert_skips_change_nothing(
+        spec, DemaillyParams(lam=lam, alpha0=alpha0), make_grid(n, float(spec.degree_sum))
+    )
+    assert any(predicted for _, _, predicted in report.rejected)
+
+
+@settings(deadline=None, max_examples=15)
+@given(
+    spec=_non_ample_specs(),
+    alpha0=st.floats(2.0, 20.0),
+    dt0=st.floats(0.01, 0.5),
+)
+def test_march_predicted_rejections_match_newton_drawn(spec, alpha0, dt0):
+    grid = make_grid(8, float(spec.degree_sum))
+    _assert_skips_change_nothing(spec, DemaillyParams(lam=8.0, alpha0=alpha0, dt0=dt0), grid)
+
+
+def test_march_breakdown_skips_only_doomed_attempts(caplog):
+    # The (-1, 5) breakdown at n=64 tries the same 25 t's in the same order
+    # as when every attempt ran Newton; the 13 that Newton refused at its
+    # start are now rejected from the accepted state's margin, and logged
+    # as predicted, so 12 Newton solves remain, the t=0 one included.
+    order = [
+        0.0, 0.05, 0.15000000000000002, 0.35000000000000003, 0.75, 1.0, 0.875,
+        1.0, 0.9375, 1.0, 0.96875, 1.0, 0.984375, 0.9765625, 0.97265625,
+        0.9765625, 0.974609375, 0.9765625, 0.9755859375, 0.97509765625,
+        0.974853515625, 0.97509765625, 0.9749755859375, 0.97509765625,
+        0.9750755859375,
+    ]
+    grid = make_grid(64, 4.0)
+    with pytest.MonkeyPatch.context() as mp, caplog.at_level(logging.DEBUG, homotopy.__name__):
+        attempts = _spy_attempts(mp)
+        report = march(BundleSpec((-1, 5)), DemaillyParams(lam=8.0, alpha0=10.0), grid)
+    assert [t for t, _ in attempts] == order
+    assert [outcome for _, outcome in attempts].count(None) == 12
+    assert len(report.rejected) == 13
+    assert all(reason == "cone" and predicted for _, reason, predicted in report.rejected)
+    assert report.breakdown_t == 0.9749755859375
+    assert report.breakdown_reason == "cone"
+    for t_try, _, _ in report.rejected:
+        assert f"step to t={t_try:.6f} rejected (cone): predicted from margin" in caplog.text
+
+
+def test_margin_at_the_floor_is_refused_everywhere():
+    # One floor rule: a margin exactly at the floor is refused by Newton's
+    # evaluation, by the diagnostics and by the jump test alike, and one ulp
+    # above it is admitted by all three; a NaN margin is refused.
+    grid = make_grid(16, 4.0)
+    curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    state, report = newton_at_t(state0, 0.0, curv, params)
+    diag = run_diagnostics(state, curv, params)
+    assert diag.passed and report.iterations <= homotopy._FAST_ITERS
+
+    margin = diag.cone_margin
+    at_floor = replace(params, cone_floor=margin)
+    below = replace(params, cone_floor=float(np.nextafter(margin, -np.inf)))
+    with pytest.raises(ConeViolationError):
+        residual(state, curv, at_floor)
+    residual(state, curv, below)
+    assert "cone_margin" in run_diagnostics(state, curv, at_floor).failed
+    assert run_diagnostics(state, curv, below).passed
+
+    margin_at_1 = homotopy._margin_at(margin, 0.0, 1.0, params)
+    at_floor = replace(params, cone_floor=margin_at_1)
+    below = replace(params, cone_floor=float(np.nextafter(margin_at_1, -np.inf)))
+    assert not homotopy._may_jump(0.0, report, diag, at_floor)
+    assert homotopy._may_jump(0.0, report, diag, below)
+    assert not homotopy._predicts_rejection(state, margin, 1.0, below)
+    # The pre-check refuses only beyond the prediction's rounding bound, so
+    # a prediction at the floor still gets its Newton attempt.
+    assert not homotopy._predicts_rejection(state, margin, 1.0, at_floor)
+    above = replace(params, cone_floor=margin_at_1 * (1.0 + 1e-9))
+    assert homotopy._predicts_rejection(state, margin, 1.0, above)
+    assert not above_cone_floor(float("nan"), params)
 
 
 # Two grids over the range, of 9 and 14 points, which share only their ends:
