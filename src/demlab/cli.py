@@ -35,7 +35,7 @@ from .model import (
     residual,
     residual_sup,
 )
-from .solvers import solve_t0
+from .solvers import _t0_construction
 from .homotopy import MarchReport, march
 from .diagnostics import run_diagnostics
 
@@ -425,7 +425,7 @@ def run_verify(snapshot_path, config: RunConfig) -> int:
 
     grid, spec, params = build_inputs(config)
     curv = build_curvature(spec, grid)
-    _, params = solve_t0(curv, dataclasses.replace(params, alpha0=meta["alpha0"]))
+    _, params = _t0_construction(curv, dataclasses.replace(params, alpha0=meta["alpha0"]))
     if params.alpha0 != meta["alpha0"]:
         raise SnapshotParseError(
             f"stored alpha0 {meta['alpha0']} is below the admissible floor {params.alpha0}"

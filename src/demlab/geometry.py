@@ -197,14 +197,50 @@ def spectral_resample(grid: Grid, v: ScalarField, n_new: int) -> np.ndarray:
     arr = grid.bind(v)
     if n_new == n:
         return arr.copy()
-    h = n // 2
-    coarse = grid.rfft2(arr) * (float(n_new) / n) ** 2
-    coarse[h, :] *= 0.5
-    coarse[:, h] *= 0.5
-    fine = np.zeros((n_new, n_new // 2 + 1), dtype=complex)
-    fine[: h + 1, : h + 1] = coarse[: h + 1]
-    fine[n_new - h :, : h + 1] = coarse[h:]
-    return Grid(n_new, grid.total_area).irfft2(fine)
+    return _spectral_pad(grid, grid.rfft2(arr), Grid(n_new, grid.total_area))
+
+
+def _spectral_rows(n_coarse: int, n_fine: int) -> np.ndarray:
+    """Rows of an n_fine half spectrum that hold the rows of an n_coarse one, in order.
+
+    Row j of the coarse spectrum holds the frequency j for j < n_coarse/2
+    and j - n_coarse above, so it sits at row j or j - n_coarse + n_fine.
+    """
+    h = n_coarse // 2
+    return np.r_[0:h, n_fine - h : n_fine]
+
+
+def _spectral_pad(grid: Grid, spectrum: np.ndarray, fine: Grid) -> np.ndarray:
+    """The fields with half spectra ``spectrum`` on ``grid``, Fourier-padded onto ``fine``.
+
+    ``spectrum`` stacks half spectra on its leading axes; the coarse
+    Nyquist row and column are split as ``spectral_resample`` describes.
+    """
+    h = grid.n // 2
+    coarse = spectrum * (float(fine.n) / grid.n) ** 2
+    coarse[..., h, :] *= 0.5
+    coarse[..., h] *= 0.5
+    padded = np.zeros(spectrum.shape[:-2] + (fine.n, fine.n // 2 + 1), dtype=complex)
+    padded[..., _spectral_rows(grid.n, fine.n), : h + 1] = coarse
+    # The other half of the split Nyquist row, at +n/2.
+    padded[..., h, : h + 1] = coarse[..., h, :]
+    return fine.irfft2(padded)
+
+
+def _spectral_truncate(grid: Grid, spectrum: np.ndarray, coarse: Grid) -> np.ndarray:
+    """The fields with half spectra ``spectrum`` on ``grid``, truncated onto ``coarse``.
+
+    Keeps the modes with |kx|, |ky| below half the coarse size and drops
+    the rest, the coarse Nyquist row and column included, so padding the
+    result back gives the band-limited part of each field.  ``spectrum``
+    stacks half spectra on its leading axes.
+    """
+    h = coarse.n // 2
+    low = spectrum[..., _spectral_rows(coarse.n, grid.n), : h + 1]
+    low *= (float(coarse.n) / grid.n) ** 2
+    low[..., h, :] = 0.0
+    low[..., h] = 0.0
+    return coarse.irfft2(low)
 
 
 def random_band_limited(

@@ -44,15 +44,22 @@ Four layers, bottom up:
   converges, as it does on constant data, where the system is affine in
   (f, w) along the branch.  Each state is evaluated once: its cone factors
   give its margin, its residuals and the linearization of the next direction.
+  The corrector is two-grid (nested iteration): an iterate still above the
+  tolerance after the first iteration is truncated to the coarsest
+  power-of-two grid, at least 16 and at most n/2, that resolves it and the
+  data, Newton finishes there, and the result, padded back, is polished on
+  the requested grid.  When no grid resolves the iterate or the coarse leg
+  fails, Newton continues on the requested grid as if there were no
+  hand-off, so every returned state converged on the requested grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Grid, ScalarField
+from .geometry import Grid, ScalarField, _spectral_pad, _spectral_truncate
 from .krylov import LinearMap, cg, gmres
 from .model import (
     ConeViolationError,
@@ -190,6 +197,29 @@ def solve_helmholtz(grid: Grid, c, rhs: ScalarField, *, rtol=None) -> ScalarFiel
     )
 
 
+def _t0_construction(
+    curv: CurvatureData, params: DemaillyParams
+) -> tuple[State, DemaillyParams]:
+    """The t=0 state and the parameter block it fixes, without a residual check.
+
+    See ``solve_t0``, which adds the check; ``cli.run_verify`` needs only
+    the parameter block.
+    """
+    grid = curv.grid
+    r = curv.rank
+    if params.lam <= r:
+        raise ValueError(f"lambda must exceed the rank ({params.lam} <= {r})")
+    f0 = np.zeros((grid.n, grid.n))
+    u0 = v_step(f0, curv)
+    requested = params.alpha0 if params.alpha0 is not None else 0.0
+    alpha0 = max(float(requested), 2.0, 2.0 * float(np.max(np.abs(u0))))
+    # w = e^0 u0 = u0.
+    a0 = np.prod(cone_shift(u0, 0.0, alpha0), axis=0)
+    floor = replace(params, alpha0=alpha0).cone_floor_value
+    filled = replace(params, alpha0=alpha0, a0=a0, cone_floor=floor)
+    return State(grid, f0, u0, 0.0), filled
+
+
 def solve_t0(
     curv: CurvatureData, params: DemaillyParams
 ) -> tuple[State, DemaillyParams]:
@@ -205,19 +235,7 @@ def solve_t0(
     verified on every row, so trace-free parts that do not cancel, which
     leave the rebuilt row unsolved, raise RuntimeError.
     """
-    grid = curv.grid
-    r = curv.rank
-    if params.lam <= r:
-        raise ValueError(f"lambda must exceed the rank ({params.lam} <= {r})")
-    f0 = np.zeros((grid.n, grid.n))
-    u0 = v_step(f0, curv)
-    requested = params.alpha0 if params.alpha0 is not None else 0.0
-    alpha0 = max(float(requested), 2.0, 2.0 * float(np.max(np.abs(u0))))
-    state = State(grid, f0, u0, 0.0)
-    # w = e^0 u0 = u0.
-    a0 = np.prod(cone_shift(u0, 0.0, alpha0), axis=0)
-    floor = replace(params, alpha0=alpha0).cone_floor_value
-    filled = replace(params, alpha0=alpha0, a0=a0, cone_floor=floor)
+    state, filled = _t0_construction(curv, params)
     r_f, r_u = residual(state, curv, filled)
     res = residual_sup(r_f, r_u)
     if res > 1e-10:
@@ -421,13 +439,25 @@ def picard_solve(
 
 @dataclass
 class NewtonReport:
-    """Convergence record of one damped Newton solve; field order is the summary layout."""
+    """Convergence record of one damped Newton solve; field order is the summary layout.
+
+    All but the Krylov counts describe the path to the returned state,
+    over every grid it ran on: ``iterations`` counts its directions,
+    ``damping`` holds one alpha per direction, and ``cone_margins`` and
+    ``residual_history`` one entry per state it started a grid from or
+    accepted.  ``coarse_n`` is the grid of its two-grid hand-off, 0
+    without one, and ``coarse_iterations`` the directions taken there.
+    ``krylov_failures`` and ``krylov_matvecs`` count every GMRES solve of
+    the call, those of a discarded hand-off included.
+    """
 
     iterations: int
     final_residual: float
     converged: bool
     krylov_failures: int
     krylov_matvecs: int  # Jacobian applications over all GMRES solves
+    coarse_n: int
+    coarse_iterations: int
     damping: list[float]
     cone_margins: list[float]
     residual_history: list[float]
@@ -522,6 +552,190 @@ def _newton_direction(state, lin, r_f, r_u, res):
     return (*unpack(z), info != 0, matvecs)
 
 
+def _evaluated(state: State, curv: CurvatureData, params: DemaillyParams) -> tuple:
+    """(state, lin, r_f, r_u, res): the state with its linearization and residuals.
+
+    Raises ConeViolationError unless the state is above the cone floor.
+    """
+    r_f, r_u, lin = _evaluate(state, curv, params)
+    return state, lin, r_f, r_u, residual_sup(r_f, r_u)
+
+
+@dataclass
+class _Leg:
+    """The record of one Newton loop on one grid, filled as the loop runs."""
+
+    end: tuple = ()  # the last state, evaluated as by ``_evaluated``
+    damping: list[float] = field(default_factory=list)
+    margins: list[float] = field(default_factory=list)
+    history: list[float] = field(default_factory=list)
+    krylov_failures: int = 0
+    krylov_matvecs: int = 0
+
+    def converged(self, params: DemaillyParams) -> bool:
+        return self.end[-1] <= params.newton_tol
+
+
+def _newton_on_grid(
+    leg: _Leg,
+    start: tuple,
+    t: float,
+    curv: CurvatureData,
+    params: DemaillyParams,
+    budget: int,
+    *,
+    w_line_first: bool = False,
+) -> None:
+    """Damped Newton at t on the grid of ``start``, recorded in ``leg``.
+
+    ``start`` is an evaluated state (``_evaluated``) on the grid of
+    ``curv`` and ``params``.  Stops at the first state whose residual is at
+    most params.newton_tol or after ``budget`` iterations, and leaves that
+    state in leg.end; the caller judges the budget.  With ``w_line_first``
+    the first iteration tries the full w-line step before anything else
+    (see ``newton_at_t``).  Raises NoDescentError (backtracking floor).
+    """
+    state, lin, r_f, r_u, res = start
+    grid = state.grid
+
+    def admissible(f_t, u_t):
+        """The evaluated trial, or None when it is not finite or not above the cone floor."""
+        if not (np.all(np.isfinite(f_t)) and np.all(np.isfinite(u_t))):
+            return None
+        try:
+            return _evaluated(State(grid, f_t, _project_trace(u_t), t), curv, params)
+        except ConeViolationError:
+            return None
+
+    def line_search(w_full_first, df_step, du_step):
+        """The accepted trial with its alpha, or None.
+
+        Its own scope frees the rejected trials before the next direction.
+        """
+        # e^-f dw, so the w-line is e^(-alpha df) (u + alpha dw_step).
+        dw_step = du_step + state.u * df_step
+
+        def along_w(alpha):
+            return admissible(
+                state.f + alpha * df_step,
+                np.exp(-alpha * df_step) * (state.u + alpha * dw_step),
+            )
+
+        w_full = along_w(1.0) if w_full_first else None
+        if w_full is not None and w_full[-1] <= params.newton_tol:
+            return (*w_full, 1.0)
+        found = admissible(state.f + df_step, state.u + du_step)
+        if found is not None and found[-1] < res:
+            return (*found, 1.0)
+        return _backtrack(
+            lambda alpha: w_full if w_full_first and alpha == 1.0 else along_w(alpha), res
+        )
+
+    for it in range(budget + 1):
+        leg.margins.append(float(np.min(lin.m)))
+        leg.history.append(res)
+        if res <= params.newton_tol or it == budget:
+            break
+        df_step, du_step, failed, matvecs = _newton_direction(state, lin, r_f, r_u, res)
+        leg.krylov_failures += failed
+        leg.krylov_matvecs += matvecs
+        top = grid.sup(df_step)
+        if top > _MAX_F_STEP:
+            scale = _MAX_F_STEP / top
+            df_step = df_step * scale
+            du_step = du_step * scale
+        accepted = line_search(w_line_first and it == 0, df_step, du_step)
+        if accepted is None:
+            raise NoDescentError(
+                f"no residual decrease above the backtracking floor at t={t}"
+            )
+        state, lin, r_f, r_u, res, alpha = accepted
+        leg.damping.append(alpha)
+    leg.end = (state, lin, r_f, r_u, res)
+
+
+# Two-grid corrector: a hand-off goes to a power-of-two grid m with
+# _COARSE_MIN <= m <= n/2 on which every transferred field is resolved, that
+# is, its largest Fourier coefficient at |k|inf >= m/3 is at most _TAIL_TOL
+# (1 + its sup).  The largest coefficient, not their sum: a sum over the
+# n^2 roundoff coefficients grows with n.
+_COARSE_MIN = 16
+_TAIL_TOL = 1e-13
+
+
+def _coarse_size(grid: Grid, fields: np.ndarray, spectrum: np.ndarray) -> int | None:
+    """The coarsest grid that resolves every field of the stack ``fields``, or None.
+
+    ``spectrum`` holds their half spectra on ``grid``.  A grid m resolves
+    them when m/3 exceeds the largest |k|inf of a coefficient above its
+    field's bound.
+    """
+    n = grid.n
+    bound = _TAIL_TOL * float(n * n) * (1.0 + np.max(np.abs(fields), axis=(1, 2)))
+    above = np.any(np.abs(spectrum) > bound[:, None, None], axis=0)
+    kx = np.abs(np.fft.fftfreq(n, d=1.0 / n))[:, None]
+    k_inf = np.maximum(kx, np.fft.rfftfreq(n, d=1.0 / n)[None, :])
+    k_top = float(np.max(k_inf[above], initial=0.0))
+    m = _COARSE_MIN
+    while m <= 3.0 * k_top:
+        m *= 2
+    return m if m <= n // 2 else None
+
+
+def _hand_off(
+    start: tuple, t: float, curv: CurvatureData, params: DemaillyParams
+) -> tuple[int, list[_Leg], bool]:
+    """Finish the solve from ``start`` on a coarse grid, then polish on its own.
+
+    The coarse grid is the coarsest that resolves f, u_1..u_{r-1},
+    s_1..s_{r-1} and a0 (``_coarse_size``).  Newton runs there from the
+    truncated state with the truncated data (u_r and s_r rebuilt from the
+    trace), and the converged coarse state, padded back, is polished on the
+    grid of ``start`` to params.newton_tol.  Both legs share the iterations
+    left after the first.  Returns (m, legs, done): the coarse grid (0 when
+    none resolves the fields, and no legs), the coarse and polish legs, and
+    whether the polish converged.  A coarse or padded start below the cone
+    floor, no descent on either grid or a spent budget leave done False.
+    """
+    state = start[0]
+    grid = state.grid
+    r = state.rank
+    fields = np.concatenate(
+        [state.f[None], state.u[:-1], curv.s[:-1], params.require_a0()[None]]
+    )
+    spectrum = grid.rfft2(fields)
+    m = _coarse_size(grid, fields, spectrum)
+    if m is None:
+        return 0, [], False
+    coarse_grid = Grid(m, grid.total_area)
+    low = _spectral_truncate(grid, spectrum, coarse_grid)
+    s_low = _with_trace_row(low[r : 2 * r - 1])
+    coarse_curv = CurvatureData(coarse_grid, curv.degrees, s_low + 1.0 / r, s_low)
+    coarse_params = replace(params, a0=low[-1])
+    coarse, polish = legs = [_Leg(), _Leg()]
+    try:
+        coarse_start = State(coarse_grid, low[0], _with_trace_row(low[1:r]), t)
+        _newton_on_grid(
+            coarse,
+            _evaluated(coarse_start, coarse_curv, coarse_params),
+            t,
+            coarse_curv,
+            coarse_params,
+            _MAX_ITERS - 1,
+        )
+        if not coarse.converged(coarse_params):
+            return m, legs, False
+        solved = coarse.end[0]
+        head = np.concatenate([solved.f[None], solved.u[:-1]])
+        fine = _spectral_pad(coarse_grid, coarse_grid.rfft2(head), grid)
+        padded = State(grid, fine[0], _with_trace_row(fine[1:]), t)
+        budget = _MAX_ITERS - 1 - len(coarse.damping)
+        _newton_on_grid(polish, _evaluated(padded, curv, params), t, curv, params, budget)
+    except (ConeViolationError, NoDescentError):
+        return m, legs, False
+    return m, legs, polish.converged(params)
+
+
 def newton_at_t(
     initial: State, t: float, curv: CurvatureData, params: DemaillyParams
 ) -> tuple[State, NewtonReport]:
@@ -552,6 +766,22 @@ def newton_at_t(
     residual sup norm fell to params.newton_tol within _MAX_ITERS
     iterations.
 
+    Two-grid corrector (nested iteration, Brandt 1977): the first
+    iteration runs on the requested grid.  When it does not converge, its
+    iterate is handed to the coarsest power-of-two grid m, 16 <= m <= n/2,
+    on which f, u_1..u_{r-1}, s_1..s_{r-1} and a0 are resolved: each has
+    its largest Fourier coefficient at |k|inf >= m/3 at most 1e-13 times
+    1 + its sup.  Newton finishes there from the spectrally truncated
+    iterate and data, and the coarse solution, Fourier-padded back, is
+    polished on the requested grid to params.newton_tol; by mesh
+    independence (Allgower, Boehmer, Potra & Rheinboldt 1986) the polish
+    has little or nothing left to do.  When no grid resolves the iterate,
+    or the coarse solve or the polish fails, Newton continues on the
+    requested grid from the first iterate, as it would without a hand-off,
+    so the hand-off never rejects an attempt.  Every returned state
+    converged on the requested grid.  The report sums the iterations and
+    Jacobian applications of every grid (``NewtonReport``).
+
     The initial state moves to t through ``State.at``, so its Laplacians
     carry over when the trace projection leaves u unchanged, as it does on
     every state this solver and ``solve_t0`` return.
@@ -564,86 +794,40 @@ def newton_at_t(
     Raises ConeViolationError (inadmissible initial state at this t),
     NoDescentError (backtracking floor), or MaxIterationsError.
     """
-    grid = initial.grid
     state = initial.at(t, _project_trace(initial.u))
-    r_f, r_u, lin = _evaluate(state, curv, params)
-    res = residual_sup(r_f, r_u)
-    damping: list[float] = []
-    margins: list[float] = []
-    history: list[float] = []
-    krylov_failures = 0
-    krylov_matvecs = 0
-
-    def admissible(f_t, u_t):
-        """The trial with its linearization and residuals, evaluated once.
-
-        None when the trial is not finite or not above the cone floor.
-        """
-        if not (np.all(np.isfinite(f_t)) and np.all(np.isfinite(u_t))):
-            return None
-        trial = State(grid, f_t, _project_trace(u_t), t)
-        try:
-            rf_t, ru_t, lin_t = _evaluate(trial, curv, params)
-        except ConeViolationError:
-            return None
-        return trial, lin_t, rf_t, ru_t, residual_sup(rf_t, ru_t)
-
-    def line_search(it, df_step, du_step):
-        """The accepted trial with its alpha, or None.
-
-        Its own scope frees the rejected trials before the next direction.
-        """
-        # e^-f dw, so the w-line is e^(-alpha df) (u + alpha dw_step).
-        dw_step = du_step + state.u * df_step
-
-        def along_w(alpha):
-            return admissible(
-                state.f + alpha * df_step,
-                np.exp(-alpha * df_step) * (state.u + alpha * dw_step),
-            )
-
-        w_full = along_w(1.0) if it == 0 else None
-        if w_full is not None and w_full[-1] <= params.newton_tol:
-            return (*w_full, 1.0)
-        found = admissible(state.f + df_step, state.u + du_step)
-        if found is not None and found[-1] < res:
-            return (*found, 1.0)
-        return _backtrack(
-            lambda alpha: w_full if it == 0 and alpha == 1.0 else along_w(alpha), res
-        )
-
-    for it in range(_MAX_ITERS + 1):
-        margins.append(float(np.min(lin.m)))
-        history.append(res)
-        if res <= params.newton_tol:
-            report = NewtonReport(
-                iterations=it,
-                final_residual=res,
-                converged=True,
-                krylov_failures=krylov_failures,
-                krylov_matvecs=krylov_matvecs,
-                damping=damping,
-                cone_margins=margins,
-                residual_history=history,
-            )
-            return state, report
-        if it == _MAX_ITERS:
-            break
-        df_step, du_step, failed, matvecs = _newton_direction(state, lin, r_f, r_u, res)
-        krylov_failures += failed
-        krylov_matvecs += matvecs
-        top = grid.sup(df_step)
-        if top > _MAX_F_STEP:
-            scale = _MAX_F_STEP / top
-            df_step = df_step * scale
-            du_step = du_step * scale
-        accepted = line_search(it, df_step, du_step)
-        if accepted is None:
-            raise NoDescentError(
-                f"no residual decrease above the backtracking floor at t={t}"
-            )
-        state, lin, r_f, r_u, res, alpha = accepted
-        damping.append(alpha)
-    raise MaxIterationsError(
-        f"residual {res:.3e} after {_MAX_ITERS} iterations at t={t}"
+    first = _Leg()
+    _newton_on_grid(
+        first, _evaluated(state, curv, params), t, curv, params, 1, w_line_first=True
     )
+    path, discarded = [first], []
+    coarse_n = coarse_iterations = 0
+    if not first.converged(params):
+        m, legs, done = _hand_off(first.end, t, curv, params)
+        if done:
+            path += legs
+            coarse_n, coarse_iterations = m, len(legs[0].damping)
+        else:
+            discarded = legs
+            rest = _Leg()
+            _newton_on_grid(rest, first.end, t, curv, params, _MAX_ITERS - 1)
+            # The first leg recorded the state this one starts from.
+            del rest.margins[0], rest.history[0]
+            path.append(rest)
+            if not rest.converged(params):
+                raise MaxIterationsError(
+                    f"residual {rest.end[-1]:.3e} after {_MAX_ITERS} iterations at t={t}"
+                )
+    spent = path + discarded
+    report = NewtonReport(
+        iterations=sum(len(leg.damping) for leg in path),
+        final_residual=path[-1].end[-1],
+        converged=True,
+        krylov_failures=sum(leg.krylov_failures for leg in spent),
+        krylov_matvecs=sum(leg.krylov_matvecs for leg in spent),
+        coarse_n=coarse_n,
+        coarse_iterations=coarse_iterations,
+        damping=[alpha for leg in path for alpha in leg.damping],
+        cone_margins=[margin for leg in path for margin in leg.margins],
+        residual_history=[res for leg in path for res in leg.history],
+    )
+    return path[-1].end[0], report

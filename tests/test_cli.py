@@ -1,6 +1,7 @@
 """Config parsing, snapshot persistence, runs, and exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 import struct
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import demlab
+from demlab import cli
 from demlab import (
     BundleSpec,
     DemaillyParams,
@@ -498,6 +500,45 @@ def test_verify_refuses_a_stored_alpha0_below_the_admissible_floor(tmp_path, cap
     assert error.startswith("snapshot error:") and "admissible floor" in error
 
 
+def test_verify_fails_on_the_residual_alone(tmp_path, capsys):
+    # f lowered by 1e-8 leaves every diagnostic passing but raises the
+    # residual to about 8.7e-8, above newton_tol: that check alone gives exit 3.
+    config_path = _write(tmp_path, "run.cfg", CONSTANT_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    state, meta = load_snapshot(out / "snapshots" / "state_0001.snap")
+    nudged = tmp_path / "nudged.snap"
+    save_snapshot(
+        nudged, State(state.grid, state.f - 1e-8, state.u, state.t),
+        meta["lambda"], meta["alpha0"], meta["degrees"],
+    )
+    assert main(["verify", "--snapshot", str(nudged), "--config", str(config_path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["passed"] is True
+    assert 1e-8 < doc["residual_sup"] < 1e-7
+    assert doc["failures"] == [f"residual {doc['residual_sup']:.3e} exceeds tolerance 1.0e-09"]
+
+
+def test_verify_fails_on_a_diagnostic_alone(tmp_path, capsys, monkeypatch):
+    # A solved state whose diagnostics record fails one check: that check
+    # alone gives exit 3, with the residual within tolerance.
+    config_path = _write(tmp_path, "run.cfg", CONSTANT_CONFIG)
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config_path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    real = cli.run_diagnostics
+    monkeypatch.setattr(
+        cli, "run_diagnostics",
+        lambda *args: dataclasses.replace(real(*args), failed=("amgm_bound",)),
+    )
+    snap = out / "snapshots" / "state_0001.snap"
+    assert main(["verify", "--snapshot", str(snap), "--config", str(config_path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residual_sup"] <= 1e-9
+    assert doc["failures"] == ["amgm_bound"]
+
+
 COSINE_CONFIG = CONSTANT_CONFIG + """
 bundle.perturbation.preset = cosine
 bundle.perturbation.amplitude = 0.2
@@ -684,6 +725,8 @@ _NEWTON_KEYS = [
     "converged",
     "krylov_failures",
     "krylov_matvecs",
+    "coarse_n",
+    "coarse_iterations",
     "damping",
     "cone_margins",
     "residual_history",

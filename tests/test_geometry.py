@@ -10,6 +10,7 @@ from demlab import (
     random_band_limited,
     spectral_resample,
 )
+from demlab import geometry
 
 
 def test_make_grid_normalization():
@@ -204,6 +205,21 @@ def test_spectral_resample_rejects_coarsening():
     grid = make_grid(16, 4.0)
     with pytest.raises(ValueError):
         spectral_resample(grid, np.zeros((16, 16)), 8)
+
+
+def test_spectral_truncate_keeps_modes_below_the_coarse_nyquist():
+    # Truncation to m keeps |kx|, |ky| < m/2 exactly and drops the rest, so
+    # padding back gives the band-limited part; a stack goes through at once.
+    fine = make_grid(64, 4.0)
+    coarse = make_grid(16, 4.0)
+    low = lambda X, Y: np.cos(2 * np.pi * (7 * X - 3 * Y)) + 0.5 * np.sin(2 * np.pi * 5 * Y)
+    high = lambda X, Y: 1e-3 * np.cos(2 * np.pi * 8 * X) + 1e-3 * np.sin(2 * np.pi * 11 * Y)
+    fields = np.stack([fine.sample(low), fine.sample(lambda X, Y: low(X, Y) + high(X, Y))])
+    cut = geometry._spectral_truncate(fine, fine.rfft2(fields), coarse)
+    assert cut.shape == (2, 16, 16)
+    assert np.max(np.abs(cut - coarse.sample(low))) < 1e-13
+    back = geometry._spectral_pad(coarse, coarse.rfft2(cut), fine)
+    assert np.max(np.abs(back - fine.sample(low))) < 1e-13
 
 
 def test_random_band_limited_properties():

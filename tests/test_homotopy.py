@@ -292,6 +292,51 @@ def test_march_rejected_jump_halves_and_recovers(monkeypatch, caplog):
     assert all(step.diagnostics.passed for step in report.steps)
 
 
+def _diagnostics_failing_above(monkeypatch, t_bad, times=None):
+    """Make the march's diagnostics fail on states with t > t_bad, ``times`` times at most."""
+    real = homotopy.run_diagnostics
+    failed = []
+
+    def witness(state, curv, params):
+        record = real(state, curv, params)
+        if state.t > t_bad and (times is None or len(failed) < times):
+            failed.append(state.t)
+            return replace(record, failed=record.failed + ("witness",))
+        return record
+
+    monkeypatch.setattr(homotopy, "run_diagnostics", witness)
+    return failed
+
+
+def test_march_rejects_a_state_that_fails_diagnostics(monkeypatch):
+    # A converged state whose diagnostics fail is a ``diagnostics``
+    # rejection: the next attempt halves the step, and the march recovers.
+    failed = _diagnostics_failing_above(monkeypatch, 0.5, times=1)
+    report = march(BundleSpec.cosine_pair((1, 3), 0.2), DemaillyParams(lam=8.0, alpha0=10.0),
+                   make_grid(16, 4.0))
+    assert failed == [1.0]
+    assert report.rejected == [(1.0, "diagnostics", False)]
+    assert report.accepted_ts == [0.0, 0.5, 1.0]
+    assert report.reached_t1
+
+
+def test_march_breaks_down_on_diagnostics_at_the_floor(monkeypatch):
+    # Diagnostics that fail on every state past t=0.5 halve the step down
+    # to dt_floor, and the failure there is the breakdown, with its reason.
+    _diagnostics_failing_above(monkeypatch, 0.5)
+    params = DemaillyParams(lam=8.0, alpha0=10.0, dt_floor=0.01)
+    report = march(BundleSpec.cosine_pair((1, 3), 0.2), params, make_grid(16, 4.0))
+    assert report.accepted_ts == [0.0, 0.5]
+    assert [t for t, _, _ in report.rejected] == [
+        1.0, 1.0, 0.75, 0.625, 0.5625, 0.53125, 0.515625, 0.51
+    ]
+    assert {(reason, predicted) for _, reason, predicted in report.rejected} == {
+        ("diagnostics", False)
+    }
+    assert report.breakdown_t == 0.5
+    assert report.breakdown_reason == "diagnostics"
+
+
 def test_march_records_non_finite_trial_as_no_descent(monkeypatch, caplog):
     # A Newton direction that is not finite rejects the attempt with reason
     # no_descent instead of ending the march; the halved step recovers.

@@ -271,6 +271,20 @@ def test_solve_t0_alpha0_rule(grid16):
     assert params.cone_floor == pytest.approx(1e-6 * 3.0)
 
 
+@pytest.mark.parametrize("alpha0", [None, 0.3, 10.0])
+def test_t0_construction_is_solve_t0_without_the_check(monkeypatch, alpha0):
+    # cli.run_verify rebuilds alpha0 and a0 from the construction alone; they
+    # are the bits solve_t0 returns, and no residual is evaluated.
+    curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), make_grid(32, 4.0))
+    params = DemaillyParams(lam=8.0, alpha0=alpha0)
+    state, full = solve_t0(curv, params)
+    monkeypatch.setattr(solvers, "residual", None)
+    bare_state, bare = solvers._t0_construction(curv, params)
+    assert bare.alpha0 == full.alpha0 and bare.cone_floor == full.cone_floor
+    assert np.array_equal(bare.a0.view(np.uint64), full.a0.view(np.uint64))
+    assert np.array_equal(bare_state.u, state.u) and np.array_equal(bare_state.f, state.f)
+
+
 # ------------------------------------------------------------------- V step
 
 
@@ -764,6 +778,136 @@ def test_newton_agrees_with_iterated_picard_at_t0(grid16):
     picard_sol, gap, _ = picard_solve(start, curv, params, gap_tol=1e-12, max_steps=20)
     assert gap <= 1e-12
     assert state_distance(newton_sol, picard_sol) <= 1e-8
+
+
+# ------------------------------------------------------- two-grid corrector
+
+
+def _single_grid(monkeypatch):
+    """Switch the two-grid hand-off off: no grid resolves any iterate."""
+    monkeypatch.setattr(solvers, "_coarse_size", lambda *args: None)
+
+
+def _ample_bench_case(n):
+    grid = make_grid(n, 4.0)
+    return grid, BundleSpec.cosine_pair((1, 3), 0.2), DemaillyParams(lam=8.0, alpha0=10.0)
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_two_grid_march_matches_single_grid(monkeypatch, n):
+    # The ample bench case jumps to t=1; that attempt hands off after its
+    # first iteration, finishes on n=32 and needs no polish, so it takes
+    # the single grid's decisions and iterations to the same state.
+    grid, spec, params = _ample_bench_case(n)
+    two = march(spec, params, grid)
+    _single_grid(monkeypatch)
+    one = march(spec, params, grid)
+    assert two.accepted_ts == one.accepted_ts == [0.0, 1.0]
+    assert [s.newton.iterations for s in two.steps] == [s.newton.iterations for s in one.steps]
+    jump = two.steps[-1].newton
+    assert (jump.coarse_n, jump.coarse_iterations, jump.iterations) == (32, 3, 4)
+    assert one.steps[-1].newton.coarse_n == 0
+    # One damping per direction; one history entry per state the path
+    # started a grid from or accepted: the start, the first iterate, the
+    # truncated start, three coarse iterates and the padded state.
+    assert len(jump.damping) == 4 and len(jump.residual_history) == 7
+    assert jump.residual_history[-1] == jump.final_residual <= params.newton_tol
+    assert state_distance(two.final_state, one.final_state) <= 1e-12
+    curv = build_curvature(spec, grid)
+    assert residual_sup(*residual(two.final_state, curv, two.params)) <= params.newton_tol
+
+
+@pytest.mark.parametrize("failing", ["coarse", "polish"])
+def test_failed_hand_off_leaves_the_single_grid_march(monkeypatch, failing):
+    # A coarse solve or polish that fails after running is discarded: the
+    # fine loop continues from its first iterate, so every decision, record
+    # and state is the single grid's; only the Krylov effort counts the
+    # discarded legs.
+    n = 64
+    grid, spec, params = _ample_bench_case(n)
+    real = solvers._newton_on_grid
+    legs = []
+
+    def failing_leg(leg, start, *args, **kwargs):
+        real(leg, start, *args, **kwargs)
+        if start[0].grid.n < n:
+            legs.append("coarse")
+        else:
+            legs.append("polish" if legs and legs[-1] == "coarse" else "fine")
+        if legs[-1] == failing:
+            legs.append("failed")
+            raise NoDescentError("forced")
+
+    monkeypatch.setattr(solvers, "_newton_on_grid", failing_leg)
+    two = march(spec, params, grid)
+    assert failing in legs
+    monkeypatch.setattr(solvers, "_newton_on_grid", real)
+    _single_grid(monkeypatch)
+    one = march(spec, params, grid)
+    assert two.accepted_ts == one.accepted_ts and two.rejected == one.rejected
+    for a, b in zip(two.steps, one.steps):
+        assert a.newton.coarse_n == b.newton.coarse_n == 0
+        assert a.newton.krylov_matvecs >= b.newton.krylov_matvecs
+        for key in ("iterations", "final_residual", "damping", "cone_margins", "residual_history"):
+            assert getattr(a.newton, key) == getattr(b.newton, key)
+        assert np.array_equal(a.state.f, b.state.f) and np.array_equal(a.state.u, b.state.u)
+    assert two.steps[-1].newton.krylov_matvecs > one.steps[-1].newton.krylov_matvecs
+
+
+def test_under_resolved_data_pick_no_coarse_grid(monkeypatch):
+    # ROADMAP item 7's case at n=32: the data modes (5,5) and (7,1) sit at
+    # |k|inf >= 16/3, so n=16 does not resolve them and no attempt hands off.
+    grid = make_grid(32, 4.0)
+    spec = BundleSpec.cosine_pair((1, 3), 0.6, ((5, 5), (7, 1)))
+    real = solvers._coarse_size
+    picked = []
+
+    def recorded(*args):
+        picked.append(real(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(solvers, "_coarse_size", recorded)
+    report = march(spec, DemaillyParams(lam=40.0, alpha0=10.0), grid)
+    assert picked and set(picked) == {None}
+    assert all(step.newton.coarse_n == 0 for step in report.steps)
+
+
+@pytest.mark.parametrize("k, m", [(1, 16), (5, 16), (6, 32), (10, 32), (11, None)])
+def test_coarse_size_is_the_first_grid_above_three_times_the_top_mode(k, m):
+    # A grid m resolves a field when its coefficients at |k|inf >= m/3 are
+    # at most 1e-13 (1 + sup); at n=64 the candidates are 16 and 32.
+    grid = make_grid(64, 4.0)
+    fields = np.stack(
+        [grid.sample(lambda X, Y: np.cos(2 * np.pi * X) + 1e-3 * np.cos(2 * np.pi * k * Y)),
+         grid.sample(lambda X, Y: 1e-14 * np.cos(2 * np.pi * 20 * X))]
+    )
+    assert solvers._coarse_size(grid, fields, grid.rfft2(fields)) == m
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    seed=st.integers(0, 2**16),
+    kmax=st.integers(1, 3),
+    amplitude=st.floats(0.05, 0.2),
+)
+def test_two_grid_newton_agrees_with_single_grid(seed, kmax, amplitude):
+    # Band-limited curvature data at n=64: the jump from t=0 to t=1 hands
+    # off and returns the single grid's state, converged on n=64.
+    grid = make_grid(64, 4.0)
+    phi = random_band_limited(
+        grid, np.random.default_rng(seed), kmax=kmax, amplitude=amplitude, zero_mean=True
+    )
+    rho = np.stack([0.25 + phi, 0.75 - phi])
+    curv = model.CurvatureData(grid, (1, 3), rho, rho - 0.5)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    two, report = newton_at_t(state0, 1.0, curv, params)
+    with pytest.MonkeyPatch.context() as mp:
+        _single_grid(mp)
+        one, single = newton_at_t(state0, 1.0, curv, params)
+    assert report.coarse_n > 0 and single.coarse_n == 0
+    assert report.iterations == single.iterations
+    assert state_distance(two, one) <= 1e-12
+    assert residual_sup(*residual(two, curv, params)) <= params.newton_tol
 
 
 def _count_cg_matvecs(monkeypatch):
