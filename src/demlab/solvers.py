@@ -45,12 +45,14 @@ Four layers, bottom up:
   (f, w) along the branch.  Each state is evaluated once: its cone factors
   give its margin, its residuals and the linearization of the next direction.
   The corrector is two-grid (nested iteration): an iterate still above the
-  tolerance after the first iteration is truncated to the coarsest
-  power-of-two grid, at least 16 and at most n/2, that resolves it and the
-  data, Newton finishes there, and the result, padded back, is polished on
-  the requested grid.  When no grid resolves the iterate or the coarse leg
-  fails, Newton continues on the requested grid as if there were no
-  hand-off, so every returned state converged on the requested grid.
+  tolerance is truncated to the coarsest power-of-two grid, at least 16
+  and at most n/2, that resolves it and the data, Newton finishes there,
+  and the result, padded back, is polished on the requested grid in at
+  most two iterations.  Below n = 128 the iterate handed off is the first
+  one, from n = 128 up the start itself.  When no grid resolves it or the
+  coarse leg or the polish fails, Newton continues on the requested grid
+  as if there were no hand-off, so every returned state converged on the
+  requested grid.
 """
 
 from __future__ import annotations
@@ -661,6 +663,13 @@ def _newton_on_grid(
 # n^2 roundoff coefficients grows with n.
 _COARSE_MIN = 16
 _TAIL_TOL = 1e-13
+# From this requested grid size up, the hand-off takes the start itself;
+# below it, one iteration runs on the requested grid first (the measured
+# crossover is in ``newton_at_t``).
+_COARSE_FIRST_N = 128
+# A polish not converged after this many fine iterations is discarded: on
+# the near-cone (-1,5) marches every polish that converged took none.
+_POLISH_ITERS = 2
 
 
 def _coarse_size(grid: Grid, fields: np.ndarray, spectrum: np.ndarray) -> int | None:
@@ -683,19 +692,27 @@ def _coarse_size(grid: Grid, fields: np.ndarray, spectrum: np.ndarray) -> int | 
 
 
 def _hand_off(
-    start: tuple, t: float, curv: CurvatureData, params: DemaillyParams
+    start: tuple,
+    t: float,
+    curv: CurvatureData,
+    params: DemaillyParams,
+    budget: int,
+    *,
+    w_line_first: bool,
 ) -> tuple[int, list[_Leg], bool]:
     """Finish the solve from ``start`` on a coarse grid, then polish on its own.
 
     The coarse grid is the coarsest that resolves f, u_1..u_{r-1},
     s_1..s_{r-1} and a0 (``_coarse_size``).  Newton runs there from the
     truncated state with the truncated data (u_r and s_r rebuilt from the
-    trace), and the converged coarse state, padded back, is polished on the
-    grid of ``start`` to params.newton_tol.  Both legs share the iterations
-    left after the first.  Returns (m, legs, done): the coarse grid (0 when
-    none resolves the fields, and no legs), the coarse and polish legs, and
-    whether the polish converged.  A coarse or padded start below the cone
-    floor, no descent on either grid or a spent budget leave done False.
+    trace), with ``budget`` iterations and ``w_line_first`` as in
+    ``_newton_on_grid``, and the converged coarse state, padded back, is
+    polished on the grid of ``start`` to params.newton_tol in at most
+    _POLISH_ITERS iterations of what the coarse leg left of ``budget``.
+    Returns (m, legs, done): the coarse grid (0 when none resolves the
+    fields, and no legs), the coarse and polish legs, and whether the
+    polish converged.  A coarse or padded start below the cone floor, no
+    descent on either grid or a spent budget leave done False.
     """
     state = start[0]
     grid = state.grid
@@ -721,7 +738,8 @@ def _hand_off(
             t,
             coarse_curv,
             coarse_params,
-            _MAX_ITERS - 1,
+            budget,
+            w_line_first=w_line_first,
         )
         if not coarse.converged(coarse_params):
             return m, legs, False
@@ -729,8 +747,10 @@ def _hand_off(
         head = np.concatenate([solved.f[None], solved.u[:-1]])
         fine = _spectral_pad(coarse_grid, coarse_grid.rfft2(head), grid)
         padded = State(grid, fine[0], _with_trace_row(fine[1:]), t)
-        budget = _MAX_ITERS - 1 - len(coarse.damping)
-        _newton_on_grid(polish, _evaluated(padded, curv, params), t, curv, params, budget)
+        polish_budget = min(_POLISH_ITERS, budget - len(coarse.damping))
+        _newton_on_grid(
+            polish, _evaluated(padded, curv, params), t, curv, params, polish_budget
+        )
     except (ConeViolationError, NoDescentError):
         return m, legs, False
     return m, legs, polish.converged(params)
@@ -766,18 +786,28 @@ def newton_at_t(
     residual sup norm fell to params.newton_tol within _MAX_ITERS
     iterations.
 
-    Two-grid corrector (nested iteration, Brandt 1977): the first
-    iteration runs on the requested grid.  When it does not converge, its
-    iterate is handed to the coarsest power-of-two grid m, 16 <= m <= n/2,
-    on which f, u_1..u_{r-1}, s_1..s_{r-1} and a0 are resolved: each has
-    its largest Fourier coefficient at |k|inf >= m/3 at most 1e-13 times
-    1 + its sup.  Newton finishes there from the spectrally truncated
-    iterate and data, and the coarse solution, Fourier-padded back, is
-    polished on the requested grid to params.newton_tol; by mesh
-    independence (Allgower, Boehmer, Potra & Rheinboldt 1986) the polish
-    has little or nothing left to do.  When no grid resolves the iterate,
-    or the coarse solve or the polish fails, Newton continues on the
-    requested grid from the first iterate, as it would without a hand-off,
+    Two-grid corrector (nested iteration, Brandt 1977): an iterate above
+    the tolerance is handed to the coarsest power-of-two grid m,
+    16 <= m <= n/2, on which f, u_1..u_{r-1}, s_1..s_{r-1} and a0 are
+    resolved: each has its largest Fourier coefficient at |k|inf >= m/3 at
+    most 1e-13 times 1 + its sup.  Newton finishes there from the
+    spectrally truncated iterate and data, and the coarse solution,
+    Fourier-padded back, is polished on the requested grid to
+    params.newton_tol; by mesh independence (Allgower, Boehmer, Potra &
+    Rheinboldt 1986) the polish has little or nothing left to do, and one
+    that has not converged in _POLISH_ITERS = 2 iterations is discarded.
+    Which iterate is handed off depends on the requested grid size alone
+    (_COARSE_FIRST_N = 128).  Below it, the first iteration runs on the
+    requested grid and its iterate is handed off.  From it up, the start
+    is handed off and the coarse leg takes the w-line first step: there
+    the fine iteration it skips costs more than the coarse solve and the
+    polish's evaluation that replace it (medians on a 2-vCPU VM: with
+    constant (-1,5) data, one-iteration attempts cost 65% more at n=32
+    and 18-21% more at n=64 when handed off at the start, and 22-26% less
+    at n=128 and 40-44% less at n=256; a four-iteration ample jump saved
+    29-31% at n=64 and 53-70% from n=128 up).  When no grid resolves the
+    iterate, or the coarse solve or the polish fails, Newton continues on
+    the requested grid from that iterate, as it would without a hand-off,
     so the hand-off never rejects an attempt.  Every returned state
     converged on the requested grid.  The report sums the iterations and
     Jacobian applications of every grid (``NewtonReport``).
@@ -795,21 +825,29 @@ def newton_at_t(
     NoDescentError (backtracking floor), or MaxIterationsError.
     """
     state = initial.at(t, _project_trace(initial.u))
+    # Fine iterations before the hand-off; with none, the coarse leg (or the
+    # fine loop after a failed hand-off) takes the w-line first step.
+    head = 0 if state.grid.n >= _COARSE_FIRST_N else 1
     first = _Leg()
     _newton_on_grid(
-        first, _evaluated(state, curv, params), t, curv, params, 1, w_line_first=True
+        first, _evaluated(state, curv, params), t, curv, params, head, w_line_first=True
     )
     path, discarded = [first], []
     coarse_n = coarse_iterations = 0
     if not first.converged(params):
-        m, legs, done = _hand_off(first.end, t, curv, params)
+        budget = _MAX_ITERS - head
+        m, legs, done = _hand_off(
+            first.end, t, curv, params, budget, w_line_first=head == 0
+        )
         if done:
             path += legs
             coarse_n, coarse_iterations = m, len(legs[0].damping)
         else:
             discarded = legs
             rest = _Leg()
-            _newton_on_grid(rest, first.end, t, curv, params, _MAX_ITERS - 1)
+            _newton_on_grid(
+                rest, first.end, t, curv, params, budget, w_line_first=head == 0
+            )
             # The first leg recorded the state this one starts from.
             del rest.margins[0], rest.history[0]
             path.append(rest)

@@ -170,6 +170,48 @@ def test_run_diagnostics_fails_each_nan_value(monkeypatch, grid16, constant_setu
     assert run_diagnostics(state, curv, params).failed == (check,)
 
 
+def _trace_witness(state, amount):
+    """u_1 moved toward zero by ``amount``: the trace is off by that much,
+    and every other recorded value moves by far less than its bound."""
+    u = state.u.copy()
+    u[0] -= np.sign(np.mean(u[0])) * amount
+    return State(state.grid, state.f, u, state.t), lambda diag: diag.trace_sup
+
+
+def _identity_witness(state, amount):
+    """u_1 and u_2 moved toward each other, a trace-free shift whose
+    integral against e^f is ``amount``: the identity is off by that much,
+    the trace stays zero and the uy and AM-GM excesses only fall."""
+    shift = amount / state.grid.integrate(np.exp(state.f))
+    step = np.sign(np.mean(state.u[0] - state.u[1])) * shift
+    u = state.u.copy()
+    u[0] -= step
+    u[1] += step
+    return State(state.grid, state.f, u, state.t), lambda diag: max(diag.identity_errors)
+
+
+# Per check: its witness, and amounts 5 times its bound (TRACE_TOL = 1e-10,
+# IDENTITY_TOL = 1e-6) and 0.4 times it.
+_THRESHOLD_WITNESSES = {
+    "trace_constraint": (_trace_witness, 5e-10, 4e-11),
+    "integral_identity": (_identity_witness, 5e-6, 4e-7),
+}
+
+
+@pytest.mark.parametrize("check", list(_THRESHOLD_WITNESSES))
+def test_threshold_witnesses_fail_only_their_check(grid16, constant_setup, check):
+    # Derived from a solved state: five times the bound fails exactly this
+    # check, and 0.4 times it passes every check.
+    spec, curv, params = constant_setup
+    solved = closed_form_state(spec, params, grid16, 0.5)
+    witness, above, below = _THRESHOLD_WITNESSES[check]
+    for amount, failed in ((above, (check,)), (below, ())):
+        state, value = witness(solved, amount)
+        diag = run_diagnostics(state, curv, params)
+        assert value(diag) == pytest.approx(amount, rel=1e-3)
+        assert diag.failed == failed
+
+
 def test_diagnostics_deterministic(grid16, constant_setup):
     spec, curv, params = constant_setup
     state = closed_form_state(spec, params, grid16, 0.5)

@@ -793,23 +793,39 @@ def _ample_bench_case(n):
     return grid, BundleSpec.cosine_pair((1, 3), 0.2), DemaillyParams(lam=8.0, alpha0=10.0)
 
 
+# The ample bench case's jump: (coarse grid, coarse iterations, iterations).
+# At n=64 the attempt takes its first iteration on n, then finishes on 32;
+# from n=128 up it hands the start itself to 16, which takes all four.
+_AMPLE_JUMP = {64: (32, 3, 4), 128: (16, 4, 4)}
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_two_grid_march_matches_single_grid(monkeypatch, n):
-    # The ample bench case jumps to t=1; that attempt hands off after its
-    # first iteration, finishes on n=32 and needs no polish, so it takes
-    # the single grid's decisions and iterations to the same state.
+    # The ample bench case jumps to t=1; that attempt finishes on a coarse
+    # grid and needs no polish, so it takes the single grid's decisions and
+    # iterations to the same state.  At n=64 it runs one GMRES solve on the
+    # requested grid first, at n=128 none.
     grid, spec, params = _ample_bench_case(n)
+    sizes, real_gmres = [], solvers.gmres
+
+    def recorded(A, b, **kwargs):
+        sizes.append(b.size)
+        return real_gmres(A, b, **kwargs)
+
+    monkeypatch.setattr(solvers, "gmres", recorded)
     two = march(spec, params, grid)
+    fine_solves = sizes.count(2 * n * n)
     _single_grid(monkeypatch)
     one = march(spec, params, grid)
     assert two.accepted_ts == one.accepted_ts == [0.0, 1.0]
     assert [s.newton.iterations for s in two.steps] == [s.newton.iterations for s in one.steps]
     jump = two.steps[-1].newton
-    assert (jump.coarse_n, jump.coarse_iterations, jump.iterations) == (32, 3, 4)
+    assert (jump.coarse_n, jump.coarse_iterations, jump.iterations) == _AMPLE_JUMP[n]
+    assert fine_solves == (1 if n == 64 else 0)
     assert one.steps[-1].newton.coarse_n == 0
     # One damping per direction; one history entry per state the path
-    # started a grid from or accepted: the start, the first iterate, the
-    # truncated start, three coarse iterates and the padded state.
+    # started a grid from or accepted: the start, the first iterate (at
+    # n=64), the truncated start, the coarse iterates and the padded state.
     assert len(jump.damping) == 4 and len(jump.residual_history) == 7
     assert jump.residual_history[-1] == jump.final_residual <= params.newton_tol
     assert state_distance(two.final_state, one.final_state) <= 1e-12
@@ -817,13 +833,20 @@ def test_two_grid_march_matches_single_grid(monkeypatch, n):
     assert residual_sup(*residual(two.final_state, curv, two.params)) <= params.newton_tol
 
 
-@pytest.mark.parametrize("failing", ["coarse", "polish"])
-def test_failed_hand_off_leaves_the_single_grid_march(monkeypatch, failing):
+@pytest.mark.parametrize(
+    "n, failing",
+    [
+        pytest.param(64, "coarse", id="coarse"),
+        pytest.param(64, "polish", id="polish"),
+        pytest.param(128, "coarse", id="coarse-128"),
+    ],
+)
+def test_failed_hand_off_leaves_the_single_grid_march(monkeypatch, n, failing):
     # A coarse solve or polish that fails after running is discarded: the
-    # fine loop continues from its first iterate, so every decision, record
-    # and state is the single grid's; only the Krylov effort counts the
+    # fine loop continues from the iterate it handed off (at n=128 the
+    # start, with the w-line first step), so every decision, record and
+    # state is the single grid's; only the Krylov effort counts the
     # discarded legs.
-    n = 64
     grid, spec, params = _ample_bench_case(n)
     real = solvers._newton_on_grid
     legs = []
@@ -852,6 +875,78 @@ def test_failed_hand_off_leaves_the_single_grid_march(monkeypatch, failing):
             assert getattr(a.newton, key) == getattr(b.newton, key)
         assert np.array_equal(a.state.f, b.state.f) and np.array_equal(a.state.u, b.state.u)
     assert two.steps[-1].newton.krylov_matvecs > one.steps[-1].newton.krylov_matvecs
+
+
+def test_polish_that_needs_more_than_two_iterations_is_discarded(monkeypatch):
+    # The padded coarse state is pushed off the solution by a bump, so the
+    # polish needs four fine iterations: capped at two, it is
+    # discarded and the attempt returns the single grid's state.
+    grid, spec, params = _ample_bench_case(128)
+    curv = build_curvature(spec, grid)
+    state0, params = solve_t0(curv, params)
+    real_pad, real_leg = solvers._spectral_pad, solvers._newton_on_grid
+    bump = grid.sample(lambda X, Y: 0.01 * np.cos(2 * np.pi * X))
+    legs = []
+
+    def bumped_pad(*args):
+        padded = real_pad(*args)
+        padded[0] += bump
+        return padded
+
+    def recorded_leg(leg, start, t, curv, params, budget, **kwargs):
+        real_leg(leg, start, t, curv, params, budget, **kwargs)
+        legs.append((start[0].grid.n, budget, len(leg.damping), leg.converged(params)))
+
+    monkeypatch.setattr(solvers, "_spectral_pad", bumped_pad)
+    monkeypatch.setattr(solvers, "_newton_on_grid", recorded_leg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_POLISH_ITERS", solvers._MAX_ITERS)
+        _, uncapped = newton_at_t(state0, 1.0, curv, params)
+    assert uncapped.coarse_n == 16 and legs[-1][:3] == (128, solvers._MAX_ITERS - 4, 4)
+    legs.clear()
+    capped_state, capped = newton_at_t(state0, 1.0, curv, params)
+    assert [leg[0] for leg in legs] == [128, 16, 128, 128]
+    assert legs[2] == (128, 2, 2, False)  # the capped polish, discarded
+    monkeypatch.setattr(solvers, "_newton_on_grid", real_leg)
+    _single_grid(monkeypatch)
+    single_state, single = newton_at_t(state0, 1.0, curv, params)
+    assert capped.coarse_n == 0
+    for key in ("iterations", "final_residual", "damping", "cone_margins", "residual_history"):
+        assert getattr(capped, key) == getattr(single, key)
+    assert np.array_equal(capped_state.f, single_state.f)
+    assert np.array_equal(capped_state.u, single_state.u)
+
+
+# Grid 1's members at lambda = 8 (amplitude x alpha0), with the ample bench
+# case's other amplitudes; (0.2, 10) is the bench case at 0.2.
+_COARSE_FIRST_CASES = [
+    (a, alpha0) for a in (0.2, 0.8, 1.4, 2.0) for alpha0 in (2.0, 10.0, 100.0)
+] + [(0.1, 10.0), (0.3, 10.0)]
+
+
+def test_coarse_first_marches_keep_the_single_grid_decisions(monkeypatch):
+    # An independent check of the coarse-first order at n=128: each march
+    # makes the single grid's decisions and ends within 1e-12 of its state,
+    # converged on n=128.
+    grid = make_grid(128, 4.0)
+    specs = [BundleSpec.cosine_pair((1, 3), a, ((1, 1),)) for a, _ in _COARSE_FIRST_CASES]
+
+    def marches():
+        return [
+            march(spec, DemaillyParams(lam=8.0, alpha0=alpha0), grid)
+            for spec, (_, alpha0) in zip(specs, _COARSE_FIRST_CASES)
+        ]
+
+    two_grid = marches()
+    _single_grid(monkeypatch)
+    single = marches()
+    assert any(step.newton.coarse_n for r in two_grid for step in r.steps)
+    for spec, two, one in zip(specs, two_grid, single):
+        assert two.accepted_ts == one.accepted_ts and two.rejected == one.rejected
+        assert (two.breakdown_t, two.breakdown_reason) == (one.breakdown_t, one.breakdown_reason)
+        assert state_distance(two.final_state, one.final_state) <= 1e-12
+        curv = build_curvature(spec, grid)
+        assert residual_sup(*residual(two.final_state, curv, two.params)) <= two.params.newton_tol
 
 
 def test_under_resolved_data_pick_no_coarse_grid(monkeypatch):
