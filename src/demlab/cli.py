@@ -439,7 +439,7 @@ def run_verify(snapshot_path, config: RunConfig) -> int:
     except ConeViolationError as exc:
         res = float("inf")
         failures.append(f"cone violation: {exc}")
-    if not res <= params.newton_tol:
+    if not params.converged(res):
         failures.append(f"residual {res:.3e} exceeds tolerance {params.newton_tol:.1e}")
     diag = run_diagnostics(state, curv, params)
     failures.extend(diag.failed)

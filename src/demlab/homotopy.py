@@ -2,13 +2,11 @@
 
 The continuation is a predictor-corrector loop with an adaptive step: the
 predictor is the previous accepted state, the corrector is the damped
-two-grid Newton solve at the new t (``solvers.newton_at_t``: after its
-first iteration, or from n = 128 up from its start, it finishes on the
-coarsest grid that resolves the iterate and polishes on the requested one,
-so every accepted state converged on the requested grid).  At fixed (f, u) every cone factor
-M_i = lap f + 1/r - w_i + (1-t) alpha0 falls by exactly alpha0 dt as t moves
-by dt, so the accepted state's cone margin, less alpha0 dt, is the margin
-the next Newton solve starts from.  An attempt whose predicted start margin
+two-grid Newton solve at the new t (``solvers.newton_at_t`` tells the
+design).  At fixed (f, u) every cone factor M_i = lap f + 1/r - w_i +
+(1-t) alpha0 falls by exactly alpha0 dt as t moves by dt, so the accepted
+state's cone margin, less alpha0 dt, is the margin the next Newton solve
+starts from.  An attempt whose predicted start margin
 is below the cone floor by more than its rounding bound is a ``cone``
 rejection without a Newton solve (step-length control as in Allgower &
 Georg, Numerical Continuation Methods, 1990, ch. 6); Newton would refuse

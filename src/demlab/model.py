@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,6 +221,13 @@ class DemaillyParams:
             raise ValueError("cone floor undefined before alpha0 is fixed")
         return 1e-6 * (1.0 + self.alpha0)
 
+    def converged(self, res: float) -> bool:
+        """The convergence rule for a residual sup norm: at most newton_tol.
+
+        Every convergence test goes through it, so NaN and inf never converge.
+        """
+        return bool(res <= self.newton_tol)
+
     def require_a0(self) -> np.ndarray:
         if self.a0 is None:
             raise ValueError("reference density a0 not set; run the t=0 construction first")
@@ -397,7 +405,8 @@ def residual(
     Raises ConeViolationError unless every cone factor is above the floor
     (a NaN one is not); the log-determinant is not evaluated outside the cone.
     """
-    return _evaluate(state, curv, params)[:2]
+    evaluated = _evaluate(state, curv, params)
+    return evaluated.r_f, evaluated.r_u
 
 
 def residual_sup(r_f: ScalarField, r_u: np.ndarray) -> float:
@@ -440,13 +449,21 @@ def linearize(
     Raises ConeViolationError when the state is outside the cone, where the
     derivative of the log-determinant is undefined.
     """
-    return _evaluate(state, curv, params)[2]
+    return _evaluate(state, curv, params).lin
 
 
-def _evaluate(
-    state: State, curv: CurvatureData, params: DemaillyParams
-) -> tuple[ScalarField, np.ndarray, Linearization]:
-    """The residuals and the linearization at ``state``, from one set of cone factors.
+class Evaluated(NamedTuple):
+    """A state with its linearization, its residuals and their sup norm."""
+
+    state: State
+    lin: Linearization
+    r_f: ScalarField
+    r_u: np.ndarray
+    res: float
+
+
+def _evaluate(state: State, curv: CurvatureData, params: DemaillyParams) -> Evaluated:
+    """The state evaluated: its residuals and linearization, from one set of cone factors.
 
     e^f, w = e^f u and the M_i are formed once.  Raises ConeViolationError
     unless every M_i is above the cone floor, so a NaN factor raises too.
@@ -462,7 +479,7 @@ def _evaluate(
     r_f = np.sum(np.log(m), axis=0) - params.lam * state.f - log_a0
     r_u = state.lap_u - curv.s - w
     lin = Linearization(grid=state.grid, lam=params.lam, m=m, ef=ef, ef_u=w)
-    return r_f, r_u, lin
+    return Evaluated(state, lin, r_f, r_u, residual_sup(r_f, r_u))
 
 
 def apply_linearization(

@@ -44,20 +44,13 @@ Four layers, bottom up:
   converges, as it does on constant data, where the system is affine in
   (f, w) along the branch.  Each state is evaluated once: its cone factors
   give its margin, its residuals and the linearization of the next direction.
-  The corrector is two-grid (nested iteration): an iterate still above the
-  tolerance is truncated to the coarsest power-of-two grid, at least 16
-  and at most n/2, that resolves it and the data, Newton finishes there,
-  and the result, padded back, is polished on the requested grid in at
-  most two iterations.  Below n = 128 the iterate handed off is the first
-  one, from n = 128 up the start itself.  When no grid resolves it or the
-  coarse leg or the polish fails, Newton continues on the requested grid
-  as if there were no hand-off, so every returned state converged on the
-  requested grid.
+  The corrector is two-grid, as ``newton_at_t`` tells.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +60,7 @@ from .model import (
     ConeViolationError,
     CurvatureData,
     DemaillyParams,
+    Evaluated,
     Perturbation,
     State,
     _evaluate,
@@ -105,16 +99,16 @@ def _backtrack(trial_at, res: float):
     """The first trial of a halving backtrack whose residual falls below ``res``.
 
     ``trial_at(alpha)`` is tried at alpha = 1, 1/2, 1/4, ... down to
-    _BACKTRACK_FLOOR; it returns a tuple ending in the trial's residual
-    sup, or None for an inadmissible trial.  Returns the accepted trial's
-    tuple with its alpha appended, or None when no trial above the floor
+    _BACKTRACK_FLOOR; it returns a record whose ``res`` is the trial's
+    residual sup, or None for an inadmissible trial.  Returns (trial,
+    alpha) for the accepted trial, or None when no trial above the floor
     decreases the residual.
     """
     alpha = 1.0
     while alpha >= _BACKTRACK_FLOOR:
-        found = trial_at(alpha)
-        if found is not None and found[-1] < res:
-            return (*found, alpha)
+        trial = trial_at(alpha)
+        if trial is not None and trial.res < res:
+            return trial, alpha
         alpha *= 0.5
     return None
 
@@ -291,6 +285,16 @@ def _forcing(res: float) -> float:
     return max(min(3e-4, res), 1e-13)
 
 
+class _PathPoint(NamedTuple):
+    """An iterate of ``u_step``'s inner Newton, with what its path residual took."""
+
+    cand: np.ndarray
+    lap: np.ndarray  # lap(cand)
+    rho: np.ndarray  # the path residual
+    v: np.ndarray  # L^{-1}_A(e^(lambda cand) a0)
+    res: float  # sup |rho|
+
+
 def u_step(
     f_in: ScalarField,
     u: np.ndarray,
@@ -333,66 +337,57 @@ def u_step(
     a = cone_shift(np.exp(f_in) * u, t, params.alpha0)
     lap_f_in = grid.laplacian(f_in)
 
-    def path_residual(cand: np.ndarray, s: float, lap=None):
-        """The path residual at cand with L^{-1}_A and lap(cand), or Nones out of range.
+    def path_residual(cand: np.ndarray, s: float, lap=None) -> _PathPoint | None:
+        """The path point at cand, or None when e^(lambda cand) a0 is out of range.
 
         ``lap`` is lap(cand) when the caller has it; it is computed otherwise.
         """
         log_eta = lam * cand + log_a0
         if not np.all(np.abs(log_eta) < _LOG_ETA_LIMIT):
-            return None, None, None
+            return None
         v = l_inverse(a, np.exp(log_eta))
         if lap is None:
             lap = grid.laplacian(cand)
         rho = lap - (1.0 - s) * (cand - f_in + lap_f_in) - s * v
-        return rho, v, lap
+        return _PathPoint(cand, lap, rho, v, grid.sup(rho))
 
-    def inner_newton(cand: np.ndarray, lap_cand: np.ndarray, s: float):
+    def inner_newton(cand: np.ndarray, lap_cand: np.ndarray, s: float) -> _PathPoint | None:
         """Newton on the path at s from cand, whose Laplacian is lap_cand.
 
-        Returns (last iterate, its Laplacian, converged).
+        Returns the converged iterate, or None.
         """
-        rho, v, lap = path_residual(cand, s, lap_cand)
-        if rho is None:
-            return cand, lap, False
-        res = grid.sup(rho)
+        point = path_residual(cand, s, lap_cand)
         for _ in range(30):
-            if res <= params.newton_tol:
-                return cand, lap, True
-            coeff = (1.0 - s) + s * _l_inverse_slope(v, a, lam)
+            if point is None or params.converged(point.res):
+                break
+            coeff = (1.0 - s) + s * _l_inverse_slope(point.v, a, lam)
             if not (np.all(np.isfinite(coeff)) and np.min(coeff) > 0.0):
-                return cand, lap, False
+                return None
             try:
-                delta = solve_helmholtz(grid, coeff, -rho, rtol=_forcing(res))
+                delta = solve_helmholtz(grid, coeff, -point.rho, rtol=_forcing(point.res))
             except HelmholtzError:
-                return cand, lap, False
+                return None
             top = grid.sup(delta)
             if top > _MAX_F_STEP:
                 delta *= _MAX_F_STEP / top
-
-            def trial_at(step):
-                trial = cand + step * delta
-                rho_t, v_t, lap_t = path_residual(trial, s)
-                return None if rho_t is None else (trial, rho_t, v_t, lap_t, grid.sup(rho_t))
-
-            accepted = _backtrack(trial_at, res)
+            cand = point.cand
+            accepted = _backtrack(
+                lambda step: path_residual(cand + step * delta, s), point.res
+            )
             if accepted is None:
-                return cand, lap, False
-            cand, rho, v, lap, res, _ = accepted
-        return cand, lap, res <= params.newton_tol
+                return None
+            point, _ = accepted
+        return point if point is not None and params.converged(point.res) else None
 
     cand, lap_cand = f_in.copy(), lap_f_in
     s = 0.0
     ds = 1.0
     while s < 1.0:
         s_try = min(s + ds, 1.0)
-        trial, lap, ok = inner_newton(cand, lap_cand, s_try)
-        if ok:
-            # Admissibility of the shifted-determinant argument along the path.
-            gap = float(np.min(lap[None, :, :] + a))
-            ok = gap > 0.0
-        if ok:
-            cand, lap_cand, s = trial, lap, s_try
+        point = inner_newton(cand, lap_cand, s_try)
+        # Admissibility of the shifted-determinant argument along the path.
+        if point is not None and float(np.min(point.lap[None, :, :] + a)) > 0.0:
+            cand, lap_cand, s = point.cand, point.lap, s_try
             ds = min(2.0 * ds, 1.0)
         else:
             ds *= 0.5
@@ -554,33 +549,36 @@ def _newton_direction(state, lin, r_f, r_u, res):
     return (*unpack(z), info != 0, matvecs)
 
 
-def _evaluated(state: State, curv: CurvatureData, params: DemaillyParams) -> tuple:
-    """(state, lin, r_f, r_u, res): the state with its linearization and residuals.
-
-    Raises ConeViolationError unless the state is above the cone floor.
-    """
-    r_f, r_u, lin = _evaluate(state, curv, params)
-    return state, lin, r_f, r_u, residual_sup(r_f, r_u)
-
-
 @dataclass
 class _Leg:
-    """The record of one Newton loop on one grid, filled as the loop runs."""
+    """The record of one Newton loop on one grid, from its evaluated start.
 
-    end: tuple = ()  # the last state, evaluated as by ``_evaluated``
+    ``end`` is the last state reached; ``margins`` and ``history`` hold the
+    cone margin and the residual of the start and of each accepted state,
+    ``damping`` the alpha of each accepted step.
+    """
+
+    end: Evaluated
     damping: list[float] = field(default_factory=list)
     margins: list[float] = field(default_factory=list)
     history: list[float] = field(default_factory=list)
     krylov_failures: int = 0
     krylov_matvecs: int = 0
 
+    def __post_init__(self):
+        self.record()
+
+    def record(self) -> None:
+        """Append the margin and the residual of ``end``."""
+        self.margins.append(float(np.min(self.end.lin.m)))
+        self.history.append(self.end.res)
+
     def converged(self, params: DemaillyParams) -> bool:
-        return self.end[-1] <= params.newton_tol
+        return params.converged(self.end.res)
 
 
 def _newton_on_grid(
     leg: _Leg,
-    start: tuple,
     t: float,
     curv: CurvatureData,
     params: DemaillyParams,
@@ -588,32 +586,32 @@ def _newton_on_grid(
     *,
     w_line_first: bool = False,
 ) -> None:
-    """Damped Newton at t on the grid of ``start``, recorded in ``leg``.
+    """Damped Newton at t from ``leg.end``, on its grid, recorded in ``leg``.
 
-    ``start`` is an evaluated state (``_evaluated``) on the grid of
-    ``curv`` and ``params``.  Stops at the first state whose residual is at
-    most params.newton_tol or after ``budget`` iterations, and leaves that
+    ``leg.end`` is on the grid of ``curv`` and ``params``.  Stops at the
+    first converged state or after ``budget`` iterations, and leaves that
     state in leg.end; the caller judges the budget.  With ``w_line_first``
-    the first iteration tries the full w-line step before anything else
-    (see ``newton_at_t``).  Raises NoDescentError (backtracking floor).
+    the first iteration of the call tries the full w-line step before
+    anything else (see ``newton_at_t``).  Raises NoDescentError
+    (backtracking floor).
     """
-    state, lin, r_f, r_u, res = start
-    grid = state.grid
+    grid = leg.end.state.grid
 
     def admissible(f_t, u_t):
         """The evaluated trial, or None when it is not finite or not above the cone floor."""
         if not (np.all(np.isfinite(f_t)) and np.all(np.isfinite(u_t))):
             return None
         try:
-            return _evaluated(State(grid, f_t, _project_trace(u_t), t), curv, params)
+            return _evaluate(State(grid, f_t, _project_trace(u_t), t), curv, params)
         except ConeViolationError:
             return None
 
-    def line_search(w_full_first, df_step, du_step):
-        """The accepted trial with its alpha, or None.
+    def line_search(start: Evaluated, w_full_first, df_step, du_step):
+        """The accepted trial and its alpha, or None.
 
         Its own scope frees the rejected trials before the next direction.
         """
+        state = start.state
         # e^-f dw, so the w-line is e^(-alpha df) (u + alpha dw_step).
         dw_step = du_step + state.u * df_step
 
@@ -624,21 +622,21 @@ def _newton_on_grid(
             )
 
         w_full = along_w(1.0) if w_full_first else None
-        if w_full is not None and w_full[-1] <= params.newton_tol:
-            return (*w_full, 1.0)
+        if w_full is not None and params.converged(w_full.res):
+            return w_full, 1.0
         found = admissible(state.f + df_step, state.u + du_step)
-        if found is not None and found[-1] < res:
-            return (*found, 1.0)
+        if found is not None and found.res < start.res:
+            return found, 1.0
         return _backtrack(
-            lambda alpha: w_full if w_full_first and alpha == 1.0 else along_w(alpha), res
+            lambda alpha: w_full if w_full_first and alpha == 1.0 else along_w(alpha),
+            start.res,
         )
 
-    for it in range(budget + 1):
-        leg.margins.append(float(np.min(lin.m)))
-        leg.history.append(res)
-        if res <= params.newton_tol or it == budget:
-            break
-        df_step, du_step, failed, matvecs = _newton_direction(state, lin, r_f, r_u, res)
+    for it in range(budget):
+        if leg.converged(params):
+            return
+        start = leg.end
+        df_step, du_step, failed, matvecs = _newton_direction(*start)
         leg.krylov_failures += failed
         leg.krylov_matvecs += matvecs
         top = grid.sup(df_step)
@@ -646,29 +644,20 @@ def _newton_on_grid(
             scale = _MAX_F_STEP / top
             df_step = df_step * scale
             du_step = du_step * scale
-        accepted = line_search(w_line_first and it == 0, df_step, du_step)
+        accepted = line_search(start, w_line_first and it == 0, df_step, du_step)
         if accepted is None:
             raise NoDescentError(
                 f"no residual decrease above the backtracking floor at t={t}"
             )
-        state, lin, r_f, r_u, res, alpha = accepted
+        leg.end, alpha = accepted
         leg.damping.append(alpha)
-    leg.end = (state, lin, r_f, r_u, res)
+        leg.record()
 
 
-# Two-grid corrector: a hand-off goes to a power-of-two grid m with
-# _COARSE_MIN <= m <= n/2 on which every transferred field is resolved, that
-# is, its largest Fourier coefficient at |k|inf >= m/3 is at most _TAIL_TOL
-# (1 + its sup).  The largest coefficient, not their sum: a sum over the
-# n^2 roundoff coefficients grows with n.
+# The two-grid corrector's constants; ``newton_at_t`` tells the design.
 _COARSE_MIN = 16
 _TAIL_TOL = 1e-13
-# From this requested grid size up, the hand-off takes the start itself;
-# below it, one iteration runs on the requested grid first (the measured
-# crossover is in ``newton_at_t``).
 _COARSE_FIRST_N = 128
-# A polish not converged after this many fine iterations is discarded: on
-# the near-cone (-1,5) marches every polish that converged took none.
 _POLISH_ITERS = 2
 
 
@@ -677,7 +666,8 @@ def _coarse_size(grid: Grid, fields: np.ndarray, spectrum: np.ndarray) -> int | 
 
     ``spectrum`` holds their half spectra on ``grid``.  A grid m resolves
     them when m/3 exceeds the largest |k|inf of a coefficient above its
-    field's bound.
+    field's bound.  The bound is on each coefficient, not on their sum: a
+    sum over the n^2 roundoff coefficients grows with n.
     """
     n = grid.n
     bound = _TAIL_TOL * float(n * n) * (1.0 + np.max(np.abs(fields), axis=(1, 2)))
@@ -692,29 +682,16 @@ def _coarse_size(grid: Grid, fields: np.ndarray, spectrum: np.ndarray) -> int | 
 
 
 def _hand_off(
-    start: tuple,
+    start: Evaluated,
     t: float,
     curv: CurvatureData,
     params: DemaillyParams,
     budget: int,
     *,
     w_line_first: bool,
-) -> tuple[int, list[_Leg], bool]:
-    """Finish the solve from ``start`` on a coarse grid, then polish on its own.
-
-    The coarse grid is the coarsest that resolves f, u_1..u_{r-1},
-    s_1..s_{r-1} and a0 (``_coarse_size``).  Newton runs there from the
-    truncated state with the truncated data (u_r and s_r rebuilt from the
-    trace), with ``budget`` iterations and ``w_line_first`` as in
-    ``_newton_on_grid``, and the converged coarse state, padded back, is
-    polished on the grid of ``start`` to params.newton_tol in at most
-    _POLISH_ITERS iterations of what the coarse leg left of ``budget``.
-    Returns (m, legs, done): the coarse grid (0 when none resolves the
-    fields, and no legs), the coarse and polish legs, and whether the
-    polish converged.  A coarse or padded start below the cone floor, no
-    descent on either grid or a spent budget leave done False.
-    """
-    state = start[0]
+) -> tuple[list[_Leg], bool]:
+    """``newton_at_t``'s two-grid hand-off from ``start``: (legs run, polish converged)."""
+    state = start.state
     grid = state.grid
     r = state.rank
     fields = np.concatenate(
@@ -723,37 +700,34 @@ def _hand_off(
     spectrum = grid.rfft2(fields)
     m = _coarse_size(grid, fields, spectrum)
     if m is None:
-        return 0, [], False
+        return [], False
     coarse_grid = Grid(m, grid.total_area)
     low = _spectral_truncate(grid, spectrum, coarse_grid)
     s_low = _with_trace_row(low[r : 2 * r - 1])
     coarse_curv = CurvatureData(coarse_grid, curv.degrees, s_low + 1.0 / r, s_low)
     coarse_params = replace(params, a0=low[-1])
-    coarse, polish = legs = [_Leg(), _Leg()]
+    legs = []
     try:
         coarse_start = State(coarse_grid, low[0], _with_trace_row(low[1:r]), t)
+        coarse = _Leg(_evaluate(coarse_start, coarse_curv, coarse_params))
+        legs.append(coarse)
         _newton_on_grid(
-            coarse,
-            _evaluated(coarse_start, coarse_curv, coarse_params),
-            t,
-            coarse_curv,
-            coarse_params,
-            budget,
-            w_line_first=w_line_first,
+            coarse, t, coarse_curv, coarse_params, budget, w_line_first=w_line_first
         )
         if not coarse.converged(coarse_params):
-            return m, legs, False
-        solved = coarse.end[0]
+            return legs, False
+        solved = coarse.end.state
         head = np.concatenate([solved.f[None], solved.u[:-1]])
         fine = _spectral_pad(coarse_grid, coarse_grid.rfft2(head), grid)
         padded = State(grid, fine[0], _with_trace_row(fine[1:]), t)
-        polish_budget = min(_POLISH_ITERS, budget - len(coarse.damping))
+        polish = _Leg(_evaluate(padded, curv, params))
+        legs.append(polish)
         _newton_on_grid(
-            polish, _evaluated(padded, curv, params), t, curv, params, polish_budget
+            polish, t, curv, params, min(_POLISH_ITERS, budget - len(coarse.damping))
         )
     except (ConeViolationError, NoDescentError):
-        return m, legs, False
-    return m, legs, polish.converged(params)
+        return legs, False
+    return legs, polish.converged(params)
 
 
 def newton_at_t(
@@ -782,35 +756,34 @@ def newton_at_t(
     than a full u-line step; on the ample cosine march its last residual
     lands at the tolerance, so the iteration count would hinge on the
     amplitude, and the u-line step is kept there.  The direction is
-    clamped to potential sup norm 5 per step.  Converged means the
-    residual sup norm fell to params.newton_tol within _MAX_ITERS
-    iterations.
+    clamped to potential sup norm 5 per step.  Converged means
+    ``params.converged``, the residual sup norm at most params.newton_tol,
+    within _MAX_ITERS iterations.
 
     Two-grid corrector (nested iteration, Brandt 1977): an iterate above
     the tolerance is handed to the coarsest power-of-two grid m,
     16 <= m <= n/2, on which f, u_1..u_{r-1}, s_1..s_{r-1} and a0 are
     resolved: each has its largest Fourier coefficient at |k|inf >= m/3 at
-    most 1e-13 times 1 + its sup.  Newton finishes there from the
-    spectrally truncated iterate and data, and the coarse solution,
-    Fourier-padded back, is polished on the requested grid to
-    params.newton_tol; by mesh independence (Allgower, Boehmer, Potra &
-    Rheinboldt 1986) the polish has little or nothing left to do, and one
-    that has not converged in _POLISH_ITERS = 2 iterations is discarded.
+    most 1e-13 times 1 + its sup (``_coarse_size``).  Newton finishes there
+    from the spectrally truncated iterate and data, u_r and s_r rebuilt
+    from the trace, and the coarse solution, Fourier-padded back, is
+    polished on the requested grid; by mesh independence (Allgower,
+    Boehmer, Potra & Rheinboldt 1986) the polish has little or nothing left
+    to do.  A polish that has not converged in _POLISH_ITERS = 2 iterations
+    (or in what the coarse leg left of the budget) is discarded: on the
+    near-cone (-1,5) marches every polish that converged took none.
     Which iterate is handed off depends on the requested grid size alone
     (_COARSE_FIRST_N = 128).  Below it, the first iteration runs on the
     requested grid and its iterate is handed off.  From it up, the start
     is handed off and the coarse leg takes the w-line first step: there
     the fine iteration it skips costs more than the coarse solve and the
-    polish's evaluation that replace it (medians on a 2-vCPU VM: with
-    constant (-1,5) data, one-iteration attempts cost 65% more at n=32
-    and 18-21% more at n=64 when handed off at the start, and 22-26% less
-    at n=128 and 40-44% less at n=256; a four-iteration ample jump saved
-    29-31% at n=64 and 53-70% from n=128 up).  When no grid resolves the
-    iterate, or the coarse solve or the polish fails, Newton continues on
-    the requested grid from that iterate, as it would without a hand-off,
-    so the hand-off never rejects an attempt.  Every returned state
-    converged on the requested grid.  The report sums the iterations and
-    Jacobian applications of every grid (``NewtonReport``).
+    polish's evaluation that replace it.  When no grid resolves the
+    iterate, or the coarse solve or the polish fails (a start below the
+    cone floor, no descent or a spent budget), Newton continues on the
+    requested grid from that iterate, as it would without a hand-off, so
+    the hand-off never rejects an attempt.  Every returned state converged
+    on the requested grid.  The report sums the iterations and Jacobian
+    applications of every grid (``NewtonReport``).
 
     The initial state moves to t through ``State.at``, so its Laplacians
     carry over when the trace projection leaves u unchanged, as it does on
@@ -828,37 +801,27 @@ def newton_at_t(
     # Fine iterations before the hand-off; with none, the coarse leg (or the
     # fine loop after a failed hand-off) takes the w-line first step.
     head = 0 if state.grid.n >= _COARSE_FIRST_N else 1
-    first = _Leg()
-    _newton_on_grid(
-        first, _evaluated(state, curv, params), t, curv, params, head, w_line_first=True
-    )
+    first = _Leg(_evaluate(state, curv, params))
+    _newton_on_grid(first, t, curv, params, head, w_line_first=True)
     path, discarded = [first], []
     coarse_n = coarse_iterations = 0
     if not first.converged(params):
         budget = _MAX_ITERS - head
-        m, legs, done = _hand_off(
-            first.end, t, curv, params, budget, w_line_first=head == 0
-        )
+        legs, done = _hand_off(first.end, t, curv, params, budget, w_line_first=head == 0)
         if done:
             path += legs
-            coarse_n, coarse_iterations = m, len(legs[0].damping)
+            coarse_n, coarse_iterations = legs[0].end.state.grid.n, len(legs[0].damping)
         else:
             discarded = legs
-            rest = _Leg()
-            _newton_on_grid(
-                rest, first.end, t, curv, params, budget, w_line_first=head == 0
-            )
-            # The first leg recorded the state this one starts from.
-            del rest.margins[0], rest.history[0]
-            path.append(rest)
-            if not rest.converged(params):
+            _newton_on_grid(first, t, curv, params, budget, w_line_first=head == 0)
+            if not first.converged(params):
                 raise MaxIterationsError(
-                    f"residual {rest.end[-1]:.3e} after {_MAX_ITERS} iterations at t={t}"
+                    f"residual {first.end.res:.3e} after {_MAX_ITERS} iterations at t={t}"
                 )
     spent = path + discarded
     report = NewtonReport(
         iterations=sum(len(leg.damping) for leg in path),
-        final_residual=path[-1].end[-1],
+        final_residual=path[-1].end.res,
         converged=True,
         krylov_failures=sum(leg.krylov_failures for leg in spent),
         krylov_matvecs=sum(leg.krylov_matvecs for leg in spent),
@@ -868,4 +831,4 @@ def newton_at_t(
         cone_margins=[margin for leg in path for margin in leg.margins],
         residual_history=[res for leg in path for res in leg.history],
     )
-    return path[-1].end[0], report
+    return path[-1].end.state, report

@@ -190,11 +190,32 @@ def _identity_witness(state, amount):
     return State(state.grid, state.f, u, state.t), lambda diag: max(diag.identity_errors)
 
 
+def _uy_witness(state, amount):
+    """u_1 and u_2 moved apart by delta cos(2 pi x), a trace-free wave whose
+    integral against the constant e^f is zero.  On the constant branch
+    u_1 = -u_2 = a > 0 with e^f a = |s_1|, so to first order the uy excess
+    is 2 a delta (e^f + k^2) at the troughs, with lap cos(2 pi x) =
+    -k^2 cos(2 pi x); delta makes it ``amount``.  The identity and the
+    trace do not move, f and its argmax do not either, and at the argmax
+    (a crest) the AM-GM excess only falls."""
+    grid = state.grid
+    a = float(np.mean(state.u[0]))
+    k_sq = 2.0 * np.pi**2 / grid.total_area
+    delta = amount / (2.0 * a * (float(np.exp(np.mean(state.f))) + k_sq))
+    wave = delta * grid.sample(lambda X, Y: np.cos(2 * np.pi * X))
+    u = state.u.copy()
+    u[0] -= wave
+    u[1] += wave
+    return State(grid, state.f, u, state.t), lambda diag: diag.uy_violation
+
+
 # Per check: its witness, and amounts 5 times its bound (TRACE_TOL = 1e-10,
-# IDENTITY_TOL = 1e-6) and 0.4 times it.
+# IDENTITY_TOL = 1e-6, UY_BASE_TOL (1 + sup|s|^2) = 1.125e-8 for degrees
+# (1, 3)) and 0.4 times it.
 _THRESHOLD_WITNESSES = {
     "trace_constraint": (_trace_witness, 5e-10, 4e-11),
     "integral_identity": (_identity_witness, 5e-6, 4e-7),
+    "uy_inequality": (_uy_witness, 5.625e-8, 4.5e-9),
 }
 
 

@@ -127,6 +127,17 @@ def test_residual_raises_outside_cone(grid16):
         residual(bad, curv, params)
 
 
+def test_converged_means_at_most_newton_tol():
+    # The one convergence rule: the tolerance itself converges, one ulp
+    # above it does not, and neither does a NaN or an infinite residual.
+    params = DemaillyParams(lam=8.0)
+    tol = params.newton_tol
+    assert params.converged(tol)
+    assert not params.converged(np.nextafter(tol, np.inf))
+    assert not params.converged(np.nan)
+    assert not params.converged(np.inf)
+
+
 def test_evaluation_rejects_nan_cone_factor():
     # A rank-one state (u = 0) whose e^f overflows at one point, where
     # e^f u is inf * 0 = NaN, and so is the cone factor.  NaN <= floor is

@@ -36,7 +36,7 @@ from demlab import (
     u_step,
     v_step,
 )
-from demlab import model, solvers
+from demlab import cli, model, solvers
 from demlab.krylov import LinearMap
 from dataclasses import replace
 
@@ -560,6 +560,27 @@ def test_newton_max_iterations(monkeypatch, constant_setup):
         newton_at_t(start, 0.5, curv, params)
 
 
+def test_every_convergence_test_is_the_params_rule(monkeypatch, constant_setup, tmp_path):
+    # With DemaillyParams.converged refusing every residual, Newton cannot
+    # converge and verify fails a clean snapshot: no site tests the
+    # tolerance on its own.
+    spec, curv, _, params = constant_setup
+    grid = curv.grid
+    cf = closed_form_state(spec, params, grid, 0.5)
+    bump = grid.sample(lambda X, Y: 0.1 * np.cos(2 * np.pi * X))
+    start = State(grid, cf.f + bump, cf.u, 0.5)
+    config = cli.parse_config(
+        "grid.n = 16\nbundle.r = 2\nbundle.degrees = 1,3\nparams.lambda = 8\nparams.alpha0 = 10\n"
+    )
+    assert cli.run_solve(config, tmp_path) == 0
+    snapshot = tmp_path / "snapshots" / "state_0001.snap"
+    assert cli.run_verify(snapshot, config) == 0
+    monkeypatch.setattr(DemaillyParams, "converged", lambda self, res: False)
+    with pytest.raises((MaxIterationsError, NoDescentError)):
+        newton_at_t(start, 0.5, curv, params)
+    assert cli.run_verify(snapshot, config) == 3
+
+
 def test_newton_evaluates_each_state_once(monkeypatch, constant_setup):
     # One evaluation per state: the start and every trial get their margin,
     # residuals and linearization from a single set of cone factors, and the
@@ -851,9 +872,9 @@ def test_failed_hand_off_leaves_the_single_grid_march(monkeypatch, n, failing):
     real = solvers._newton_on_grid
     legs = []
 
-    def failing_leg(leg, start, *args, **kwargs):
-        real(leg, start, *args, **kwargs)
-        if start[0].grid.n < n:
+    def failing_leg(leg, *args, **kwargs):
+        real(leg, *args, **kwargs)
+        if leg.end.state.grid.n < n:
             legs.append("coarse")
         else:
             legs.append("polish" if legs and legs[-1] == "coarse" else "fine")
@@ -893,9 +914,9 @@ def test_polish_that_needs_more_than_two_iterations_is_discarded(monkeypatch):
         padded[0] += bump
         return padded
 
-    def recorded_leg(leg, start, t, curv, params, budget, **kwargs):
-        real_leg(leg, start, t, curv, params, budget, **kwargs)
-        legs.append((start[0].grid.n, budget, len(leg.damping), leg.converged(params)))
+    def recorded_leg(leg, t, curv, params, budget, **kwargs):
+        real_leg(leg, t, curv, params, budget, **kwargs)
+        legs.append((leg.end.state.grid.n, budget, len(leg.damping), leg.converged(params)))
 
     monkeypatch.setattr(solvers, "_spectral_pad", bumped_pad)
     monkeypatch.setattr(solvers, "_newton_on_grid", recorded_leg)
