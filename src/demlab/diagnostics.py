@@ -20,6 +20,8 @@ each check's bound in its ``thresholds`` dict, and the failed checks.
 Inequalities are asserted on converged solution states only; on arbitrary
 iterates the records are informational.  All checks are pure functions of
 the state, so recomputing a record from a persisted state reproduces it.
+The module reads ``model`` alone: it judges what the solvers return and
+calls none of them.
 """
 
 from __future__ import annotations
@@ -28,23 +30,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .geometry import random_band_limited
 from .model import (
-    ConeViolationError,
     CurvatureData,
     DemaillyParams,
     State,
     above_cone_floor,
     cone_margin,
     cone_shift,
-    state_distance,
-)
-from .solvers import (
-    MaxIterationsError,
-    NewtonReport,
-    NoDescentError,
-    newton_at_t,
-    solve_t0,
 )
 
 IDENTITY_TOL = 1e-6
@@ -59,19 +51,9 @@ def check_integral_identity(state: State, curv: CurvatureData) -> np.ndarray:
 
     The error is inf where e^f u_i overflows on a finite state.
     """
-    grid = state.grid
-    r = state.rank
-    d = float(sum(curv.degrees))
-    weighted = np.exp(state.f) * state.u
-    errors = np.empty(r)
-    for i in range(r):
-        target = d / r - float(curv.degrees[i])
-        try:
-            integral = grid.integrate(weighted[i])
-        except ValueError:  # a non-finite integrand: e^f u_i overflowed
-            integral = np.inf
-        errors[i] = abs(integral - target)
-    return errors
+    targets = sum(curv.degrees) / state.rank - np.array(curv.degrees, dtype=float)
+    integrals = np.sum(np.exp(state.f) * state.u, axis=(1, 2)) * state.grid.cell_weight
+    return np.where(np.isfinite(integrals), np.abs(integrals - targets), np.inf)
 
 
 def check_uy_inequality(state: State, curv: CurvatureData) -> float:
@@ -195,67 +177,3 @@ def run_diagnostics(
         failed=tuple(failed),
     )
 
-
-@dataclass
-class MultistartResult:
-    """Outcome of the repeated-initialization uniqueness experiment."""
-
-    max_gap: float
-    n_converged: int
-    n_failed: int
-    reports: list[NewtonReport]
-
-
-def multistart_uniqueness(
-    curv: CurvatureData,
-    params: DemaillyParams,
-    k: int,
-    seed: int = 0,
-    amplitude: float = 0.1,
-) -> MultistartResult:
-    """Solve at t=0 from k admissible starts and measure the spread.
-
-    The first start is the constructed t=0 state; the rest add band-limited
-    perturbations of sup amplitude up to ``amplitude`` to f and to each twist
-    log (trace-projected), resampling any draw that leaves the cone.  Returns
-    the max pairwise sup distance between converged solutions; starts that
-    fail to converge are counted separately, since non-convergence is not a
-    uniqueness violation.
-    """
-    if k < 2:
-        raise ValueError("at least two starts are required")
-    base, params = solve_t0(curv, params)
-    grid = curv.grid
-    r = curv.rank
-    rng = np.random.default_rng(seed)
-    starts = [base]
-    attempts = 0
-    while len(starts) < k:
-        attempts += 1
-        if attempts > 200 * k:
-            raise RuntimeError("could not draw enough admissible starts")
-        amp = rng.uniform(0.2 * amplitude, amplitude)
-        df = random_band_limited(grid, rng, kmax=3, amplitude=amp)
-        du = np.stack(
-            [random_band_limited(grid, rng, kmax=3, amplitude=amp) for _ in range(r)]
-        )
-        du -= np.mean(du, axis=0)
-        cand = State(grid, base.f + df, base.u + du, 0.0)
-        if above_cone_floor(cone_margin(cand, params), params):
-            starts.append(cand)
-    solutions = []
-    reports = []
-    n_failed = 0
-    for start in starts:
-        try:
-            sol, rep = newton_at_t(start, 0.0, curv, params)
-        except (ConeViolationError, NoDescentError, MaxIterationsError):
-            n_failed += 1
-            continue
-        solutions.append(sol)
-        reports.append(rep)
-    max_gap = 0.0
-    for i in range(len(solutions)):
-        for j in range(i + 1, len(solutions)):
-            max_gap = max(max_gap, state_distance(solutions[i], solutions[j]))
-    return MultistartResult(max_gap, len(solutions), n_failed, reports)

@@ -1,4 +1,5 @@
-"""March the solution from t=0 to t=1, and the constant-data oracle.
+"""March the solution from t=0 to t=1, the constant-data oracle, and the
+multistart uniqueness experiment.
 
 The continuation is a predictor-corrector loop with an adaptive step: the
 predictor is the previous accepted state, the corrector is the damped
@@ -37,6 +38,11 @@ densities rho_i = d_i/d,
 
 whose cone factors rho_i + (1-t) alpha0 stay positive on all of [0,1]
 exactly when every degree is positive.
+
+The multistart experiment runs the same corrector at t=0 from several
+admissible starts and measures how far apart its solutions land; a start
+fails on the exception classes that reject a march attempt
+(``_REJECT_REASON``).
 """
 
 from __future__ import annotations
@@ -47,14 +53,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Grid
+from .geometry import Grid, random_band_limited
 from .model import (
     BundleSpec,
     ConeViolationError,
+    CurvatureData,
     DemaillyParams,
     State,
     above_cone_floor,
     build_curvature,
+    cone_margin,
+    state_distance,
 )
 from .diagnostics import DiagnosticsRecord, run_diagnostics
 from .solvers import (
@@ -159,9 +168,7 @@ def closed_form_state(
     s_const = rho - 1.0 / r
     n = grid.n
     f = np.full((n, n), f_val)
-    u = np.repeat(
-        (-s_const * np.exp(-f_val))[:, None, None], n, axis=1
-    ).repeat(n, axis=2)
+    u = np.tile((-s_const * np.exp(-f_val))[:, None, None], (1, n, n))
     return State(grid, f, u, t)
 
 
@@ -307,3 +314,69 @@ def march(spec: BundleSpec, params: DemaillyParams, grid: Grid) -> MarchReport:
             dt = max(0.5 * step, params.dt_floor)
             after_rejection = True
     return MarchReport(steps, breakdown, params, reason, rejected)
+
+
+@dataclass
+class MultistartResult:
+    """Outcome of the repeated-initialization uniqueness experiment."""
+
+    max_gap: float
+    n_converged: int
+    n_failed: int
+    reports: list[NewtonReport]
+
+
+def multistart_uniqueness(
+    curv: CurvatureData,
+    params: DemaillyParams,
+    k: int,
+    seed: int = 0,
+    amplitude: float = 0.1,
+) -> MultistartResult:
+    """Solve at t=0 from k admissible starts and measure the spread.
+
+    The first start is the constructed t=0 state; the rest add band-limited
+    perturbations of sup amplitude up to ``amplitude`` to f and to each twist
+    log (trace-projected), resampling any draw that leaves the cone.  Returns
+    the max pairwise sup distance between converged solutions; starts that
+    fail to converge (any rejection class of the march but ``diagnostics``)
+    are counted separately, since non-convergence is not a uniqueness
+    violation.
+    """
+    if k < 2:
+        raise ValueError("at least two starts are required")
+    base, params = solve_t0(curv, params)
+    grid = curv.grid
+    r = curv.rank
+    rng = np.random.default_rng(seed)
+    starts = [base]
+    attempts = 0
+    while len(starts) < k:
+        attempts += 1
+        if attempts > 200 * k:
+            raise RuntimeError("could not draw enough admissible starts")
+        amp = rng.uniform(0.2 * amplitude, amplitude)
+        df = random_band_limited(grid, rng, kmax=3, amplitude=amp)
+        du = np.stack(
+            [random_band_limited(grid, rng, kmax=3, amplitude=amp) for _ in range(r)]
+        )
+        du -= np.mean(du, axis=0)
+        cand = State(grid, base.f + df, base.u + du, 0.0)
+        if above_cone_floor(cone_margin(cand, params), params):
+            starts.append(cand)
+    solutions = []
+    reports = []
+    n_failed = 0
+    for start in starts:
+        try:
+            sol, rep = newton_at_t(start, 0.0, curv, params)
+        except tuple(_REJECT_REASON):
+            n_failed += 1
+            continue
+        solutions.append(sol)
+        reports.append(rep)
+    max_gap = 0.0
+    for i in range(len(solutions)):
+        for j in range(i + 1, len(solutions)):
+            max_gap = max(max_gap, state_distance(solutions[i], solutions[j]))
+    return MultistartResult(max_gap, len(solutions), n_failed, reports)

@@ -129,8 +129,6 @@ def gmres(A, b, *, rtol, restart, maxiter, M):
     # The first cycle starts from r = b, so M b is also its first vector.
     z = psolve(b)
     ptol = float(np.linalg.norm(z)) * min(ptol_factor, tol / b_norm)
-    if b_norm < tol:
-        return x, 0
     presid = 0.0
     v = np.empty((restart + 1, n))
     h = np.zeros((restart, restart + 1))

@@ -252,7 +252,13 @@ def _bit_equal(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _with_trace_row(head: np.ndarray) -> np.ndarray:
-    """The stack ``head`` of rows 1..r-1 with row r = -(their sum) appended."""
+    """The stack ``head`` of rows 1..r-1 with row r = -(their sum) appended.
+
+    Rebuilding the last twist log this way makes det g = 1 exactly.  At rank
+    one ``head`` is empty and u_1 = -0.0, minus the empty sum, so every state
+    the solvers make is trace-projected bit for bit and takes lap f and
+    lap u in one transform (``State``).
+    """
     return np.concatenate([head, -np.sum(head, axis=0)[None, :, :]])
 
 

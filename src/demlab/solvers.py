@@ -239,16 +239,6 @@ def solve_t0(
     return state, filled
 
 
-def _project_trace(u: np.ndarray) -> np.ndarray:
-    """Rebuild the last twist log from the others so det g = 1 exactly.
-
-    At rank one that makes u_1 = -0.0, minus the empty sum, so every state
-    the solvers make is trace-projected bit for bit and takes lap f and
-    lap u in one transform (``State``).
-    """
-    return _with_trace_row(np.asarray(u, dtype=float)[:-1])
-
-
 def v_step(f: ScalarField, curv: CurvatureData) -> np.ndarray:
     """Resolve the trace-free equations at frozen potential.
 
@@ -262,7 +252,7 @@ def v_step(f: ScalarField, curv: CurvatureData) -> np.ndarray:
     u = np.zeros(curv.s.shape)
     for i in range(curv.rank - 1):
         u[i] = solve_helmholtz(grid, c, curv.s[i])
-    return _project_trace(u)
+    return _with_trace_row(u[:-1])
 
 
 def _l_inverse_slope(v: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
@@ -602,7 +592,7 @@ def _newton_on_grid(
         if not (np.all(np.isfinite(f_t)) and np.all(np.isfinite(u_t))):
             return None
         try:
-            return _evaluate(State(grid, f_t, _project_trace(u_t), t), curv, params)
+            return _evaluate(State(grid, f_t, _with_trace_row(u_t[:-1]), t), curv, params)
         except ConeViolationError:
             return None
 
@@ -797,7 +787,7 @@ def newton_at_t(
     Raises ConeViolationError (inadmissible initial state at this t),
     NoDescentError (backtracking floor), or MaxIterationsError.
     """
-    state = initial.at(t, _project_trace(initial.u))
+    state = initial.at(t, _with_trace_row(initial.u[:-1]))
     # Fine iterations before the hand-off; with none, the coarse leg (or the
     # fine loop after a failed hand-off) takes the w-line first step.
     head = 0 if state.grid.n >= _COARSE_FIRST_N else 1

@@ -49,6 +49,26 @@ def test_integral_identity_signed_values(grid16, constant_setup):
     assert np.max(errors) <= 1e-10
 
 
+def test_integral_identity_matches_per_summand_integrals():
+    # The stacked reduction gives each summand's grid integral bit for bit,
+    # and an integral that overflows gives an infinite error.
+    grid = make_grid(32, 6.0)
+    spec = BundleSpec.cosine_pair((1, 2, 3), 0.3, ((1, 1), (2, 0)))
+    curv = build_curvature(spec, grid)
+    report = march(spec, DemaillyParams(lam=10.0, alpha0=10.0), grid)
+    for step in report.steps:
+        state = step.state
+        errors = check_integral_identity(state, curv)
+        for i, d_i in enumerate(spec.degrees):
+            integral = grid.integrate(np.exp(state.f) * state.u[i])
+            assert errors[i] == abs(integral - (6.0 / 3 - d_i))
+    f = np.zeros((32, 32))
+    f[3, 5] = 800.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = check_integral_identity(State(grid, f, report.final_state.u, 1.0), curv)
+    assert np.all(np.isinf(errors))
+
+
 def test_integral_identity_rank_one_trivial():
     grid = make_grid(16, 5.0)
     curv = build_curvature(BundleSpec((5,)), grid)
@@ -209,13 +229,31 @@ def _uy_witness(state, amount):
     return State(grid, state.f, u, state.t), lambda diag: diag.uy_violation
 
 
+def _amgm_witness(state, amount):
+    """f raised by delta psi, psi = cos(2 pi x) cos(2 pi y), which peaks at
+    the grid argmax (0, 0).  There e^(lambda f) gains lambda delta and each
+    cone factor M_i loses delta w_i (w_i = e^f u_i), so on the constant
+    branch the AM-GM excess is, to first order, delta (lambda + a) with
+    a = sum_i w_i / M_i; delta makes it ``amount``.  psi integrates to zero
+    and u does not move, so the identity and the trace hold; lap f is
+    negative at the argmax and the uy excess stays far below its bound."""
+    grid = state.grid
+    lam, alpha0 = 8.0, 10.0  # constant_setup's parameters
+    w = np.exp(float(np.mean(state.f))) * np.mean(state.u, axis=(1, 2))
+    m = 1.0 / state.rank - w + (1.0 - state.t) * alpha0
+    delta = amount / (lam + float(np.sum(w / m)))
+    psi = grid.sample(lambda X, Y: np.cos(2 * np.pi * X) * np.cos(2 * np.pi * Y))
+    return State(grid, state.f + delta * psi, state.u, state.t), lambda diag: diag.amgm_excess
+
+
 # Per check: its witness, and amounts 5 times its bound (TRACE_TOL = 1e-10,
 # IDENTITY_TOL = 1e-6, UY_BASE_TOL (1 + sup|s|^2) = 1.125e-8 for degrees
-# (1, 3)) and 0.4 times it.
+# (1, 3), AMGM_REL_TOL = 1e-8) and 0.4 times it.
 _THRESHOLD_WITNESSES = {
     "trace_constraint": (_trace_witness, 5e-10, 4e-11),
     "integral_identity": (_identity_witness, 5e-6, 4e-7),
     "uy_inequality": (_uy_witness, 5.625e-8, 4.5e-9),
+    "amgm_bound": (_amgm_witness, 5e-8, 4e-9),
 }
 
 

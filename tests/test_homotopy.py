@@ -13,6 +13,7 @@ from demlab import homotopy, solvers
 from demlab import (
     BundleSpec,
     ConeViolationError,
+    CosineMode,
     DemaillyParams,
     Grid,
     MaxIterationsError,
@@ -628,6 +629,52 @@ def test_march_ample_amplitudes_jump_from_t0(amplitude):
     assert report.accepted_ts == [0.0, 1.0]
     assert sum(step.newton.iterations for step in report.steps) == 4
     assert report.steps[-1].newton.final_residual <= report.params.newton_tol / 50
+
+
+@st.composite
+def _positively_curved_cases(draw):
+    """(spec, lambda): rank 2-3, degrees 1-4, lambda in [r + 0.5, 40].
+
+    Each summand i < r carries one or two cosine modes and the last one
+    their negated sum.  The amplitudes take the largest common scale at
+    which every sup|phi_i|, at most the sum of phi_i's |amplitudes|, is at
+    most 0.99 d_i/d: every curvature density rho_i = d_i/d + phi_i stays at
+    least 0.01 d_i/d, and the one with the largest relative wiggle may come
+    that close.
+    """
+    r = draw(st.integers(2, 3))
+    degrees = draw(st.lists(st.integers(1, 4), min_size=r, max_size=r))
+    amplitude = st.builds(float.__mul__, st.sampled_from([-1.0, 1.0]), st.floats(0.1, 1.0))
+    mode = st.tuples(amplitude, st.integers(0, 3), st.integers(0, 3))
+    mode = mode.filter(lambda m: m[1:] != (0, 0))
+    raw = [draw(st.lists(mode, min_size=1, max_size=2)) for _ in range(r - 1)]
+    sums = [sum(abs(a) for a, _, _ in modes) for modes in raw]
+    sums.append(sum(sums))
+    d = sum(degrees)
+    scale = min(0.99 * d_i / d / s for d_i, s in zip(degrees, sums))
+    plus = [tuple(CosineMode(scale * a, kx, ky) for a, kx, ky in modes) for modes in raw]
+    minus = tuple(CosineMode(-m.amplitude, m.kx, m.ky) for modes in plus for m in modes)
+    return BundleSpec(degrees, (*plus, minus)), draw(st.floats(r + 0.5, 40.0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    case=_positively_curved_cases(),
+    alpha0=st.floats(2.0, 20.0),
+    n=st.sampled_from([16, 32]),
+)
+def test_ample_positively_curved_data_reach_t1(case, alpha0, n):
+    # The paper's theorem on this family: positive degrees and positive
+    # curvature densities give a solution at t=1.  Every accepted state is
+    # converged and passes the diagnostics, recomputed from the state.
+    spec, lam = case
+    grid = make_grid(n, float(spec.degree_sum))
+    curv = build_curvature(spec, grid)
+    report = march(spec, DemaillyParams(lam=lam, alpha0=alpha0), grid)
+    assert report.reached_t1
+    for step in report.steps:
+        assert residual_sup(*residual(step.state, curv, report.params)) <= report.params.newton_tol
+        assert run_diagnostics(step.state, curv, report.params).passed
 
 
 def test_march_fixed_step_path_pinned(monkeypatch):
