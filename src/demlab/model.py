@@ -47,9 +47,13 @@ class CosineMode:
             raise ValueError("constant modes are not zero-mean; (kx, ky) != (0, 0)")
 
     def evaluate(self, grid: Grid) -> np.ndarray:
-        X, Y = grid.coords()
-        return self.amplitude * np.cos(2 * np.pi * self.kx * X) * np.cos(
-            2 * np.pi * self.ky * Y
+        # Separable: one cosine per axis, multiplied in the order of the
+        # meshgrid form, so the product is the same bit for bit.
+        x = np.arange(grid.n) / grid.n
+        return (
+            self.amplitude
+            * np.cos(2 * np.pi * self.kx * x)[:, None]
+            * np.cos(2 * np.pi * self.ky * x)[None, :]
         )
 
 

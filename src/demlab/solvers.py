@@ -13,8 +13,10 @@ Four layers, bottom up:
   alpha0 and the reference density a0 it determines.
 * ``u_step`` / ``v_step``: the two halves of the fixed-point map whose zeros
   are solutions; U resolves the determinant equation for the potential at
-  frozen twist (an auxiliary 0 <= s <= 1 continuation from the incoming
-  potential, tried in one step to s = 1 first, its step halved on failure
+  frozen twist (its constant mode first, a scalar root that balances the
+  mean of the right side, since lap U has mean zero; then an auxiliary
+  0 <= s <= 1 continuation from the incoming potential shifted by that
+  constant, tried in one step to s = 1 first, its step halved on failure
   and doubled again after each success, each inner Newton correction
   solved inexactly to the forcing tolerance of ``newton_at_t``),
   V resolves the trace-free equations at frozen potential (r-1 Helmholtz
@@ -262,6 +264,46 @@ def _l_inverse_slope(v: np.ndarray, a: np.ndarray, lam: float) -> np.ndarray:
 
 
 _LOG_ETA_LIMIT = 700.0  # e^x is a normal, finite float for |x| below this
+_SHIFT_ITERS = 8  # scalar Newton steps of ``_mean_balanced_shift`` at most
+_SHIFT_RTOL = 1e-3  # it stops once a step |dc| is at most _SHIFT_RTOL (1 + |c|)
+
+
+def _in_float_range(log_eta: np.ndarray) -> bool:
+    return bool(np.all(np.abs(log_eta) < _LOG_ETA_LIMIT))
+
+
+def _mean_balanced_shift(
+    f_in: np.ndarray, a: np.ndarray, lam: float, log_a0: np.ndarray
+) -> float:
+    """The constant c with mean(L^{-1}_A(e^(lambda (f_in + c)) a0)) = 0, or 0.0.
+
+    lap(U) has mean zero, so the solution U of ``u_step`` balances this
+    mean at U; were U - f_in constant, U would be f_in + c.  The mean
+    h(c) increases in c with slope mean(``_l_inverse_slope``).  The start
+    is the closed form c0 = mean((sum_i log A_i - log a0) / lambda - f_in),
+    the root when lap(U) = 0, as on constant data; it needs every A_i > 0,
+    and c0 = 0 otherwise.  Scalar Newton steps, clamped to _MAX_F_STEP,
+    stop at the first step |dc| <= _SHIFT_RTOL (1 + |c|): c is an anchor
+    for the path, which solves the rest, not a solution.  Returns 0.0, the
+    anchor f_in itself, when a density e^(lambda (f_in + c)) a0 leaves the
+    floating-point range, a step is not finite, or _SHIFT_ITERS steps do
+    not stop.
+    """
+    c = 0.0
+    if np.min(a) > 0.0:
+        c = float(np.mean((np.sum(np.log(a), axis=0) - log_a0) / lam - f_in))
+    for _ in range(_SHIFT_ITERS):
+        log_eta = lam * (f_in + c) + log_a0
+        if not _in_float_range(log_eta):
+            return 0.0
+        v = l_inverse(a, np.exp(log_eta))
+        step = -float(np.mean(v)) / float(np.mean(_l_inverse_slope(v, a, lam)))
+        if not np.isfinite(step):
+            return 0.0
+        c += max(-_MAX_F_STEP, min(step, _MAX_F_STEP))
+        if abs(step) <= _SHIFT_RTOL * (1.0 + abs(c)):
+            return c if _in_float_range(lam * (f_in + c) + log_a0) else 0.0
+    return 0.0
 
 
 def _forcing(res: float) -> float:
@@ -296,12 +338,21 @@ def u_step(
 
     Solves lap(U) = L^{-1}_A(e^(lambda U) a0) with the shifts
     A_i = -e^{f_in} u_i + 1/r + alpha0 (1 - t).  Its right side strictly
-    increases in U, so by the maximum principle the solution is unique and
-    the auxiliary path
+    increases in U, so by the maximum principle the solution is unique.
+    lap(U) has mean zero, so U balances mean(L^{-1}_A(e^(lambda U) a0)) = 0,
+    and that one constant mode is solved first: g = f_in + c, with c the
+    scalar root of the mean at U = f_in + c (``_mean_balanced_shift``, a
+    closed-form start and a few scalar Newton steps; c = 0 when a density
+    leaves the floating-point range, a step is not finite or the steps do
+    not settle).  The auxiliary path
 
-        lap(U) = (1-s) (U - f_in + lap(f_in)) + s L^{-1}_A(e^(lambda U) a0),
+        lap(U) = (1-s) (U - g + lap(f_in)) + s L^{-1}_A(e^(lambda U) a0),
 
-    whose exact solution at s = 0 is U = f_in, only globalizes the solve.
+    whose exact solution at s = 0 is U = g (a constant has no Laplacian, so
+    lap(g) = lap(f_in)), only globalizes the solve.  Anchored at f_in
+    itself, inner Newton moves the constant mode by only about 1/lambda per
+    iteration, its linear phase on an exponential, which took most of the
+    inner solves of a Picard solve from a t=0 state taken to t=1.
     The first s-step goes straight to s = 1; a failed one is halved and an
     accepted one doubles the next, up to the whole range.  An
     inner Newton trial whose density e^(lambda U) a0 leaves the floating-point
@@ -315,10 +366,11 @@ def u_step(
     pointwise admissibility lap(U) + A_i > 0 is asserted after every
     accepted s-step.  Raises PathStallError when the s-step falls below 1e-4.
 
-    Each Laplacian is taken once per iterate: lap(f_in) serves the path's
-    s = 0 term and the first inner Newton's start, and the Laplacian of an
-    accepted trial, computed with its path residual, serves the
-    admissibility check and the start of the next inner Newton.
+    Each Laplacian is taken once per iterate: lap(f_in), which is also
+    lap(g), serves the path's s = 0 term and the first inner Newton's start,
+    and the Laplacian of an accepted trial, computed with its path residual,
+    serves the admissibility check and the start of the next inner Newton.
+    The constant-mode solve takes no Laplacian.
     """
     grid = curv.grid
     log_a0 = params.log_a0
@@ -326,6 +378,7 @@ def u_step(
     f_in = grid.bind(f_in)
     a = cone_shift(np.exp(f_in) * u, t, params.alpha0)
     lap_f_in = grid.laplacian(f_in)
+    g = f_in + _mean_balanced_shift(f_in, a, lam, log_a0)
 
     def path_residual(cand: np.ndarray, s: float, lap=None) -> _PathPoint | None:
         """The path point at cand, or None when e^(lambda cand) a0 is out of range.
@@ -333,12 +386,12 @@ def u_step(
         ``lap`` is lap(cand) when the caller has it; it is computed otherwise.
         """
         log_eta = lam * cand + log_a0
-        if not np.all(np.abs(log_eta) < _LOG_ETA_LIMIT):
+        if not _in_float_range(log_eta):
             return None
         v = l_inverse(a, np.exp(log_eta))
         if lap is None:
             lap = grid.laplacian(cand)
-        rho = lap - (1.0 - s) * (cand - f_in + lap_f_in) - s * v
+        rho = lap - (1.0 - s) * (cand - g + lap_f_in) - s * v
         return _PathPoint(cand, lap, rho, v, grid.sup(rho))
 
     def inner_newton(cand: np.ndarray, lap_cand: np.ndarray, s: float) -> _PathPoint | None:
@@ -369,7 +422,7 @@ def u_step(
             point, _ = accepted
         return point if point is not None and params.converged(point.res) else None
 
-    cand, lap_cand = f_in.copy(), lap_f_in
+    cand, lap_cand = g, lap_f_in
     s = 0.0
     ds = 1.0
     while s < 1.0:

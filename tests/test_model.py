@@ -59,6 +59,19 @@ def test_build_curvature_equal_degrees_cosine(grid16):
     assert np.max(np.abs(curv.s.sum(axis=0))) < 1e-14
 
 
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+def test_cosine_mode_matches_meshgrid_form_bit_for_bit(n):
+    # The separable evaluation multiplies in the order of the meshgrid form,
+    # so every curvature field, and every state built on one, is unchanged.
+    grid = make_grid(n, 4.0)
+    X, Y = grid.coords()
+    for amplitude in (0.2, -0.7, 1e-3, 3.3, 0.1234567):
+        for kx, ky in ((1, 1), (1, 0), (0, 1), (3, 2), (5, 5), (7, 1), (2, 3)):
+            mode = CosineMode(amplitude, kx, ky)
+            meshgrid = amplitude * np.cos(2 * np.pi * kx * X) * np.cos(2 * np.pi * ky * Y)
+            assert np.array_equal(mode.evaluate(grid), meshgrid)
+
+
 def test_build_curvature_rejects_area_mismatch():
     grid = make_grid(16, 5.0)
     with pytest.raises(ValueError, match="total degree"):

@@ -40,6 +40,8 @@ from demlab import cli, model, solvers
 from demlab.krylov import LinearMap
 from dataclasses import replace
 
+from test_homotopy import _positively_curved_cases
+
 logger = logging.getLogger(__name__)
 
 
@@ -335,6 +337,37 @@ def test_u_step_constant_branch(constant_setup):
         assert np.max(np.abs(U - cf.f)) < 1e-8
 
 
+def test_u_step_solves_constant_data_without_a_helmholtz_solve(monkeypatch, constant_setup):
+    # On constant data the closed-form start of the constant-mode solve,
+    # mean((sum_i log A_i - log a0) / lambda - f_in), is exact.  From any
+    # constant f_in, with the twist that gives the closed form's
+    # w_i = e^f u_i, U is the closed-form potential, and the path converges
+    # at its anchor: no Helmholtz solve.  One Picard step from there lands
+    # on the closed-form state.
+    spec, curv, _, params = constant_setup
+    grid = curv.grid
+    solves = []
+    real_solve = solvers.solve_helmholtz
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    for t in (0.25, 0.75, 1.0):
+        cf = closed_form_state(spec, params, grid, t)
+        for level in (-0.5, 0.3):
+            f_in = np.full((16, 16), level)
+            u = np.exp(cf.f - f_in) * cf.u
+            with np.errstate(all="raise"):
+                U = u_step(f_in, u, t, curv, params)
+                assert solves == []
+                new, _ = picard_step(State(grid, f_in, u, t), curv, params)
+            solves.clear()
+            assert np.max(np.abs(U - cf.f)) <= 1e-14
+            assert state_distance(new, cf) <= 1e-14
+
+
 def test_u_step_identity_at_t0(constant_setup):
     _, curv, state0, params = constant_setup
     U = u_step(state0.f, state0.u, 0.0, curv, params)
@@ -375,26 +408,72 @@ def test_u_step_far_start_at_t1(grid16):
     assert np.min(lap_u[None, :, :] + shifts) > 0.0
 
 
-def test_u_step_stalls_when_density_leaves_float_range(grid16):
-    # e^(lambda f_in) a0 overflows at lambda = 400, f_in = 2; every s-step
-    # fails on the range check instead of warning or raising ValueError.
+def _assert_solves_u_equation(U, f_in, u, t, curv, params):
+    # lap(U) = L^{-1}_A(e^(lambda U) a0) to newton_tol, and lap(U) + A_i > 0,
+    # with the shifts A_i = 1/r - e^f_in u_i + alpha0 (1 - t) written out.
+    grid = curv.grid
+    shifts = 1.0 / curv.rank - np.exp(f_in)[None, :, :] * u + (1.0 - t) * params.alpha0
+    lap_u = grid.laplacian(U)
+    target = l_inverse(shifts, np.exp(params.lam * U) * params.a0)
+    assert np.max(np.abs(lap_u - target)) <= params.newton_tol
+    assert np.min(lap_u[None, :, :] + shifts) > 0.0
+
+
+def test_u_step_stalls_when_density_leaves_float_range(monkeypatch, grid16):
+    # e^(lambda f_in) a0 overflows at lambda = 400, f_in = 2.  The twist
+    # makes some shift A_i = 5.5 - e^2 u_i negative, so the constant-mode
+    # solve has no closed-form start, and its first density, at f_in itself,
+    # overflows: it falls back to the anchor f_in, and every s-step fails on
+    # the range check instead of warning or raising ValueError, with no
+    # density handed to l_inverse.  The same shifts from an in-range
+    # potential (f_in = 0, twist e^2 u) are solved.
     curv = build_curvature(BundleSpec((1, 3)), grid16)
     state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=10.0))
-    with pytest.raises(PathStallError):
-        u_step(np.full((16, 16), 2.0), state0.u, 0.5, curv, params)
+    psi = grid16.sample(lambda X, Y: np.cos(2 * np.pi * X))
+    u = 0.8 * np.stack([psi, -psi])
+    f_in = np.full((16, 16), 2.0)
+    assert np.min(0.5 + 5.0 - np.exp(f_in) * u) < 0.0
+    densities = []
+    real_l_inverse = solvers.l_inverse
+
+    def recording_l_inverse(a, eta):
+        densities.append(1)
+        return real_l_inverse(a, eta)
+
+    monkeypatch.setattr(solvers, "l_inverse", recording_l_inverse)
+    with np.errstate(all="raise"), pytest.raises(PathStallError):
+        u_step(f_in, u, 0.5, curv, params)
+    assert densities == []
+    monkeypatch.undo()
+    zero = np.zeros((16, 16))
+    with np.errstate(all="raise"):
+        U = u_step(zero, np.exp(2.0) * u, 0.5, curv, params)
+    _assert_solves_u_equation(U, zero, np.exp(2.0) * u, 0.5, curv, params)
+
+
+def test_u_step_far_start_out_of_float_range_converges(grid16):
+    # At f_in = 2, lambda = 400, the density e^(lambda f_in) a0 overflows,
+    # so a path anchored at f_in stalls at s = 0.  Every shift is positive,
+    # and the constant-mode solve brings the anchor back into range, where
+    # the path is solved.
+    curv = build_curvature(BundleSpec((1, 3)), grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=10.0))
+    f_in = np.full((16, 16), 2.0)
+    with np.errstate(all="raise"):
+        U = u_step(f_in, state0.u, 0.5, curv, params)
+    _assert_solves_u_equation(U, f_in, state0.u, 0.5, curv, params)
 
 
 def test_u_step_helmholtz_failure_fails_the_s_step(monkeypatch, grid16):
-    # From this start the s=1 step's first Helmholtz solve misses its
-    # forcing tolerance 3e-4 within 400 CG iterations (the coefficient spans
-    # e^-0.1 to e^17.6).  That must fail the s-step, not escape as
-    # HelmholtzError; the halved step s=0.5 and then s=1 succeed.  U is
-    # checked against the equation it solves, with the shifts
-    # A_i = 1/r - e^f_in u_i + alpha0 (1 - t) written out.
+    # From this start, anchored at its mean-balanced shift f_in + c with
+    # c = -0.033, the s=1 step's first Helmholtz solve misses its forcing
+    # tolerance 3e-4 within 400 CG iterations (the coefficient spans e^-9.6
+    # to e^15.6).  That must fail the s-step, not escape as HelmholtzError;
+    # the halved step s=0.5 and then s=1 succeed.
     spec = BundleSpec.cosine_pair((1, 3), 0.2, ((1, 1),))
     curv = build_curvature(spec, grid16)
-    state0, params = solve_t0(curv, DemaillyParams(lam=200.0, alpha0=1000.0))
-    bump = random_band_limited(grid16, np.random.default_rng(1), kmax=2, amplitude=0.1)
+    state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=1000.0))
+    bump = random_band_limited(grid16, np.random.default_rng(0), kmax=2, amplitude=0.05)
     f_in = state0.f + bump
     failures = []
     real_solve = solvers.solve_helmholtz
@@ -409,11 +488,7 @@ def test_u_step_helmholtz_failure_fails_the_s_step(monkeypatch, grid16):
     monkeypatch.setattr(solvers, "solve_helmholtz", recording_solve)
     U = u_step(f_in, state0.u, 0.5, curv, params)
     assert failures == [3e-4]
-    shifts = 0.5 - np.exp(f_in)[None, :, :] * state0.u + 0.5 * params.alpha0
-    lap_u = grid16.laplacian(U)
-    target = l_inverse(shifts, np.exp(200.0 * U) * params.a0)
-    assert np.max(np.abs(lap_u - target)) <= params.newton_tol
-    assert np.min(lap_u[None, :, :] + shifts) > 0.0
+    _assert_solves_u_equation(U, f_in, state0.u, 0.5, curv, params)
 
 
 def test_u_step_grows_the_s_step_after_success(monkeypatch, grid16):
@@ -440,6 +515,28 @@ def test_u_step_grows_the_s_step_after_success(monkeypatch, grid16):
     target = l_inverse(shifts, np.exp(40.0 * U) * params.a0)
     assert np.max(np.abs(lap_u - target)) <= params.newton_tol
     assert np.min(lap_u[None, :, :] + shifts) > 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    case=_positively_curved_cases(),
+    alpha0=st.floats(2.0, 20.0),
+    t=st.floats(0.0, 1.0),
+    bump=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_u_step_solves_its_equation_on_positively_curved_data(case, alpha0, t, bump, seed):
+    # Around the t=0 state of the positively curved family (see
+    # test_homotopy), whatever the anchor the constant-mode solve picks, U
+    # solves its own equation and stays admissible.
+    spec, lam = case
+    grid = make_grid(16, float(spec.degree_sum))
+    curv = build_curvature(spec, grid)
+    state0, params = solve_t0(curv, DemaillyParams(lam=lam, alpha0=alpha0))
+    rng = np.random.default_rng(seed)
+    f_in = state0.f + random_band_limited(grid, rng, kmax=2, amplitude=bump)
+    U = u_step(f_in, state0.u, t, curv, params)
+    _assert_solves_u_equation(U, f_in, state0.u, t, curv, params)
 
 
 # ------------------------------------------------------------------- Picard
@@ -1045,9 +1142,11 @@ def _count_cg_matvecs(monkeypatch):
 def test_picard_readme_case_t1_work_pinned(monkeypatch):
     # The README case at n=32, started from the t=0 state at t=1, under
     # strict numerics.  Each step is one u_step and one v_step (r-1 = 1
-    # Helmholtz solve); every u_step is accepted at s=1.  u_step's inner
-    # solves stop at the Newton forcing tolerance, so all 18 solves take 41
-    # CG matvecs; solved to 1e-13 they took 71.
+    # Helmholtz solve); every u_step is accepted at s=1.  u_step solves the
+    # constant mode before the path, so its inner Newton takes 2, 2, 1, 1
+    # and 1 solves, which stop at the Newton forcing tolerance (15 CG
+    # matvecs); each v_step's exact solve takes 3.  Left to the inner
+    # Newton, the constant mode takes 13 inner solves and 41 matvecs.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid)
@@ -1067,8 +1166,8 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
         state, gap, steps = picard_solve(state, curv, filled, gap_tol=1e-9, max_steps=100)
     assert gap <= 1e-9
     assert steps == 5
-    assert len(solves) - steps == 13  # u_step's inner Newton solves
-    assert len(matvecs) == 41
+    assert len(solves) - steps == 7  # u_step's inner Newton solves
+    assert len(matvecs) == 30
     monkeypatch.undo()
     newton = march(spec, replace(params, dt0=1.0), grid).final_state
     assert state_distance(state, newton) <= 1e-8
@@ -1076,16 +1175,18 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
 
 def test_picard_step_laplacian_count_pinned(monkeypatch):
     # The first Picard step of the README case at n=32, from the t=0 state
-    # taken to t=1, takes 28 Laplacians: u_step takes one of f_in, one per
-    # inner Newton trial (8) and one per matvec of its 8 inexact CG solves
-    # (15); V, taken at the new potential U, not at the start's f = 0, has
-    # a varying Helmholtz coefficient e^U, so its exact solve goes through
-    # CG (3 matvecs) and checks its residual (1).  The count rises when a
-    # Helmholtz solve takes the Laplacian of its zero start, when an inexact
-    # solve checks its residual, when u_step's admissibility check
-    # recomputes the Laplacian of its last path residual, or when an inner
-    # Newton recomputes the Laplacian of its start (f_in, whose Laplacian
-    # u_step already holds, or an accepted trial).
+    # taken to t=1, takes 11 Laplacians: u_step takes one of f_in, none for
+    # its constant-mode solve, one per inner Newton trial (2) and one per
+    # matvec of its 2 inexact CG solves (4); V, taken at the new potential
+    # U, not at the start's f = 0, has a varying Helmholtz coefficient e^U,
+    # so its exact solve goes through CG (3 matvecs) and checks its residual
+    # (1).  The count rises when a Helmholtz solve takes the Laplacian of its
+    # zero start, when an inexact solve checks its residual, when u_step's
+    # admissibility check recomputes the Laplacian of its last path
+    # residual, when an inner Newton recomputes the Laplacian of its start
+    # (the anchor f_in + c, whose Laplacian is that of f_in, which u_step
+    # already holds, or an accepted trial), or when the constant mode is
+    # left to the inner Newton (28, with 8 inner solves).
     grid = make_grid(32, 4.0)
     curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
     state0, filled = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
@@ -1098,4 +1199,4 @@ def test_picard_step_laplacian_count_pinned(monkeypatch):
 
     monkeypatch.setattr(Grid, "laplacian", counted)
     picard_step(State(grid, state0.f, state0.u, 1.0), curv, filled)
-    assert len(calls) == 28
+    assert len(calls) == 11
