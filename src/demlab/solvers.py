@@ -13,12 +13,11 @@ Four layers, bottom up:
   alpha0 and the reference density a0 it determines.
 * ``u_step`` / ``v_step``: the two halves of the fixed-point map whose zeros
   are solutions; U resolves the determinant equation for the potential at
-  frozen twist (its constant mode first, a scalar root that balances the
-  mean of the right side, since lap U has mean zero; then an auxiliary
-  0 <= s <= 1 continuation from the incoming potential shifted by that
-  constant, tried in one step to s = 1 first, its step halved on failure
-  and doubled again after each success, each inner Newton correction
-  solved inexactly to the forcing tolerance of ``newton_at_t``),
+  frozen twist (damped Newton in the density v = lap U, where U is closed
+  form and admissibility is the domain of a logarithm, after a check that
+  an admissible density can exist; each correction solved inexactly to the
+  forcing tolerance of ``newton_at_t``; ConeViolationError, NoDescentError,
+  MaxIterationsError or HelmholtzError when it cannot be solved),
   V resolves the trace-free equations at frozen potential (r-1 Helmholtz
   solves, the last twist log rebuilt from the trace constraint).
   ``picard_step`` applies U, then V at the new potential, and reports the
@@ -78,10 +77,6 @@ from .model import (
 
 class HelmholtzError(RuntimeError):
     """Inner linear solve failed to reach its residual target."""
-
-
-class PathStallError(RuntimeError):
-    """The auxiliary s-continuation could not reach s=1 above the step floor."""
 
 
 class NoDescentError(RuntimeError):
@@ -283,9 +278,9 @@ def _mean_balanced_shift(
     is the closed form c0 = mean((sum_i log A_i - log a0) / lambda - f_in),
     the root when lap(U) = 0, as on constant data; it needs every A_i > 0,
     and c0 = 0 otherwise.  Scalar Newton steps, clamped to _MAX_F_STEP,
-    stop at the first step |dc| <= _SHIFT_RTOL (1 + |c|): c is an anchor
-    for the path, which solves the rest, not a solution.  Returns 0.0, the
-    anchor f_in itself, when a density e^(lambda (f_in + c)) a0 leaves the
+    stop at the first step |dc| <= _SHIFT_RTOL (1 + |c|): c gives
+    ``u_step`` a start, not a solution.  Returns 0.0, the start f_in
+    itself, when a density e^(lambda (f_in + c)) a0 leaves the
     floating-point range, a step is not finite, or _SHIFT_ITERS steps do
     not stop.
     """
@@ -317,14 +312,13 @@ def _forcing(res: float) -> float:
     return max(min(3e-4, res), 1e-13)
 
 
-class _PathPoint(NamedTuple):
-    """An iterate of ``u_step``'s inner Newton, with what its path residual took."""
+class _UIterate(NamedTuple):
+    """An iterate of ``u_step``'s Newton: the density, its potential and F."""
 
-    cand: np.ndarray
-    lap: np.ndarray  # lap(cand)
-    rho: np.ndarray  # the path residual
-    v: np.ndarray  # L^{-1}_A(e^(lambda cand) a0)
-    res: float  # sup |rho|
+    v: np.ndarray  # the density, lap(U) at a solution
+    U: np.ndarray  # (sum_i log(v + A_i) - log a0) / lambda
+    F: np.ndarray  # v - lap(U)
+    res: float  # sup |F|
 
 
 def u_step(
@@ -339,106 +333,96 @@ def u_step(
     Solves lap(U) = L^{-1}_A(e^(lambda U) a0) with the shifts
     A_i = -e^{f_in} u_i + 1/r + alpha0 (1 - t).  Its right side strictly
     increases in U, so by the maximum principle the solution is unique.
-    lap(U) has mean zero, so U balances mean(L^{-1}_A(e^(lambda U) a0)) = 0,
-    and that one constant mode is solved first: g = f_in + c, with c the
-    scalar root of the mean at U = f_in + c (``_mean_balanced_shift``, a
-    closed-form start and a few scalar Newton steps; c = 0 when a density
-    leaves the floating-point range, a step is not finite or the steps do
-    not settle).  The auxiliary path
+    The unknown is the density v = lap(U): then e^(lambda U) a0 is
+    prod_i (v + A_i), U(v) = (sum_i log(v + A_i) - log a0) / lambda is
+    closed form, mean included, and damped Newton solves
 
-        lap(U) = (1-s) (U - g + lap(f_in)) + s L^{-1}_A(e^(lambda U) a0),
+        F(v) = v - lap(U(v)) = 0
 
-    whose exact solution at s = 0 is U = g (a constant has no Laplacian, so
-    lap(g) = lap(f_in)), only globalizes the solve.  Anchored at f_in
-    itself, inner Newton moves the constant mode by only about 1/lambda per
-    iteration, its linear phase on an exponential, which took most of the
-    inner solves of a Picard solve from a t=0 state taken to t=1.
-    The first s-step goes straight to s = 1; a failed one is halved and an
-    accepted one doubles the next, up to the whole range.  An
-    inner Newton trial whose density e^(lambda U) a0 leaves the floating-point
-    range is backtracked, and an inner solve that fails (no decrease, a
-    coefficient that is not finite and positive, a Helmholtz solve that
-    misses its tolerance, or no convergence in 30 iterations) fails the
-    s-step.  Each Newton correction is an inexact Helmholtz solve to the
-    relative tolerance ``_forcing(res)`` = max(min(3e-4, res), 1e-13),
-    res the sup of the path residual, the rule ``newton_at_t`` applies to
-    its GMRES solves; only the path residual decides convergence.  The
-    pointwise admissibility lap(U) + A_i > 0 is asserted after every
-    accepted s-step.  Raises PathStallError when the s-step falls below 1e-4.
+    on its domain v + A_i > 0, the admissibility of the shifted
+    determinant.  Every mean-zero field is a Laplacian, so an admissible v
+    exists only if mean_x max_i(-A_i) < 0; ConeViolationError is raised
+    otherwise, before any Helmholtz solve.
 
-    Each Laplacian is taken once per iterate: lap(f_in), which is also
-    lap(g), serves the path's s = 0 term and the first inner Newton's start,
-    and the Laplacian of an accepted trial, computed with its path residual,
-    serves the admissibility check and the start of the next inner Newton.
-    The constant-mode solve takes no Laplacian.
+    Newton starts from the smaller sup|F| of two fields: lap(f_in), raised
+    to floor - mean(floor)/2 where it is inadmissible (floor =
+    max_i(-A_i)), and the density L^{-1}_A(e^(lambda U) a0) at
+    U = f_in + c, with c the constant that balances its mean
+    (``_mean_balanced_shift``), whose Laplacian is that of f_in.  With
+    D = sum_i 1/(v + A_i), a correction solves (lap - lambda/D) w =
+    lambda F, an inexact Helmholtz solve to the relative tolerance
+    ``_forcing(sup|F|)``, the rule ``newton_at_t`` applies to its GMRES
+    solves; it moves U by w/lambda and v by w/D.  The full step is tried
+    additively in U, clamped to _MAX_F_STEP, with v = L^{-1}_A(e^(lambda U)
+    a0) when that density is in the floating-point range; when it does not
+    lower sup|F| the step is backtracked additively in v, inside the
+    domain.  Raises NoDescentError when backtracking finds no decrease,
+    MaxIterationsError after _MAX_ITERS corrections, and HelmholtzError
+    when a correction misses its tolerance.
     """
     grid = curv.grid
     log_a0 = params.log_a0
     lam = params.lam
     f_in = grid.bind(f_in)
     a = cone_shift(np.exp(f_in) * u, t, params.alpha0)
+    floor = np.max(-a, axis=0)
+    floor_mean = float(np.mean(floor))
+    if not floor_mean < 0.0:
+        raise ConeViolationError(
+            f"no admissible density: mean of max_i(-A_i) is {floor_mean:.3e} (t={t})"
+        )
     lap_f_in = grid.laplacian(f_in)
-    g = f_in + _mean_balanced_shift(f_in, a, lam, log_a0)
 
-    def path_residual(cand: np.ndarray, s: float, lap=None) -> _PathPoint | None:
-        """The path point at cand, or None when e^(lambda cand) a0 is out of range.
+    def iterate(v: np.ndarray, U: np.ndarray, lap_U: np.ndarray) -> _UIterate:
+        F = v - lap_U
+        return _UIterate(v, U, F, grid.sup(F))
 
-        ``lap`` is lap(cand) when the caller has it; it is computed otherwise.
+    def at_density(v: np.ndarray) -> _UIterate | None:
+        """The iterate at v, or None when v leaves the domain."""
+        m = v + a
+        if not np.min(m) > 0.0:
+            return None
+        U = (np.sum(np.log(m), axis=0) - log_a0) / lam
+        return iterate(v, U, grid.laplacian(U))
+
+    def at_potential(U: np.ndarray, lap_U=None) -> _UIterate | None:
+        """The iterate at U, or None when e^(lambda U) a0 is out of range.
+
+        ``lap_U`` is lap(U) when the caller has it; it is computed otherwise.
         """
-        log_eta = lam * cand + log_a0
+        log_eta = lam * U + log_a0
         if not _in_float_range(log_eta):
             return None
         v = l_inverse(a, np.exp(log_eta))
-        if lap is None:
-            lap = grid.laplacian(cand)
-        rho = lap - (1.0 - s) * (cand - g + lap_f_in) - s * v
-        return _PathPoint(cand, lap, rho, v, grid.sup(rho))
+        return iterate(v, U, grid.laplacian(U) if lap_U is None else lap_U)
 
-    def inner_newton(cand: np.ndarray, lap_cand: np.ndarray, s: float) -> _PathPoint | None:
-        """Newton on the path at s from cand, whose Laplacian is lap_cand.
-
-        Returns the converged iterate, or None.
-        """
-        point = path_residual(cand, s, lap_cand)
-        for _ in range(30):
-            if point is None or params.converged(point.res):
-                break
-            coeff = (1.0 - s) + s * _l_inverse_slope(point.v, a, lam)
-            if not (np.all(np.isfinite(coeff)) and np.min(coeff) > 0.0):
-                return None
-            try:
-                delta = solve_helmholtz(grid, coeff, -point.rho, rtol=_forcing(point.res))
-            except HelmholtzError:
-                return None
-            top = grid.sup(delta)
-            if top > _MAX_F_STEP:
-                delta *= _MAX_F_STEP / top
-            cand = point.cand
-            accepted = _backtrack(
-                lambda step: path_residual(cand + step * delta, s), point.res
+    raised = at_density(np.where(lap_f_in > floor, lap_f_in, floor - 0.5 * floor_mean))
+    anchor = at_potential(f_in + _mean_balanced_shift(f_in, a, lam, log_a0), lap_f_in)
+    point = raised if anchor is None or raised.res < anchor.res else anchor
+    corrections = 0
+    while not params.converged(point.res):
+        if corrections == _MAX_ITERS:
+            raise MaxIterationsError(
+                f"u_step: residual {point.res:.3e} after {_MAX_ITERS} corrections (t={t})"
             )
+        corrections += 1
+        slope = _l_inverse_slope(point.v, a, lam)
+        w = solve_helmholtz(grid, slope, lam * point.F, rtol=_forcing(point.res))
+        dU = w / lam
+        top = grid.sup(dU)
+        if top > _MAX_F_STEP:
+            dU *= _MAX_F_STEP / top
+        trial = at_potential(point.U + dU)
+        if trial is None or not trial.res < point.res:
+            dv = w * slope / lam
+            accepted = _backtrack(lambda alpha: at_density(point.v + alpha * dv), point.res)
             if accepted is None:
-                return None
-            point, _ = accepted
-        return point if point is not None and params.converged(point.res) else None
-
-    cand, lap_cand = g, lap_f_in
-    s = 0.0
-    ds = 1.0
-    while s < 1.0:
-        s_try = min(s + ds, 1.0)
-        point = inner_newton(cand, lap_cand, s_try)
-        # Admissibility of the shifted-determinant argument along the path.
-        if point is not None and float(np.min(point.lap[None, :, :] + a)) > 0.0:
-            cand, lap_cand, s = point.cand, point.lap, s_try
-            ds = min(2.0 * ds, 1.0)
-        else:
-            ds *= 0.5
-            if ds < 1e-4:
-                raise PathStallError(
-                    f"auxiliary continuation stalled at s={s:.4f} (t={t})"
+                raise NoDescentError(
+                    f"u_step: no decrease from residual {point.res:.3e} (t={t})"
                 )
-    return cand
+            trial, _ = accepted
+        point = trial
+    return point.U
 
 
 def picard_step(

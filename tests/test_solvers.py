@@ -16,7 +16,6 @@ from demlab import (
     HelmholtzError,
     MaxIterationsError,
     NoDescentError,
-    PathStallError,
     State,
     closed_form_state,
     build_curvature,
@@ -341,8 +340,8 @@ def test_u_step_solves_constant_data_without_a_helmholtz_solve(monkeypatch, cons
     # On constant data the closed-form start of the constant-mode solve,
     # mean((sum_i log A_i - log a0) / lambda - f_in), is exact.  From any
     # constant f_in, with the twist that gives the closed form's
-    # w_i = e^f u_i, U is the closed-form potential, and the path converges
-    # at its anchor: no Helmholtz solve.  One Picard step from there lands
+    # w_i = e^f u_i, U is the closed-form potential, and Newton converges
+    # at its start: no Helmholtz solve.  One Picard step from there lands
     # on the closed-form state.
     spec, curv, _, params = constant_setup
     grid = curv.grid
@@ -382,20 +381,24 @@ def test_u_step_monotone_in_reference_density(constant_setup):
     assert np.all(U_big < U)
 
 
-def test_u_step_stalls_outside_admissible_set(grid16):
+def test_u_step_stalls_outside_admissible_set(monkeypatch, grid16):
     curv = build_curvature(BundleSpec((1, 3)), grid16)
     _, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
     # At t=1 the shifts are 1/r - e^f u_i; a large positive twist makes them
-    # negative and no potential can satisfy lap(U) + A > 0.
+    # negative and no potential can satisfy lap(U) + A > 0: lap(U) has mean
+    # zero, and here max_i(-A_i) has mean 0.1.  u_step says so before any
+    # Helmholtz solve.
     u = np.stack([np.full((16, 16), 0.6), np.full((16, 16), -0.6)])
-    with pytest.raises(PathStallError):
+    solves = []
+    monkeypatch.setattr(solvers, "solve_helmholtz", lambda *a, **k: solves.append(1))
+    with pytest.raises(ConeViolationError):
         u_step(np.zeros((16, 16)), u, 1.0, curv, params)
+    assert solves == []
 
 
 def test_u_step_far_start_at_t1(grid16):
-    # From this start every intermediate s-step fails, so the path stalls at
-    # s=0 unless s=1 is tried first.  U is checked against the equation it
-    # solves, with the shifts A_i = 1/r - e^f_in u_i written out.
+    # A far start at t=1.  U is checked against the equation it solves,
+    # with the shifts A_i = 1/r - e^f_in u_i written out.
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid16)
     state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
@@ -419,31 +422,33 @@ def _assert_solves_u_equation(U, f_in, u, t, curv, params):
     assert np.min(lap_u[None, :, :] + shifts) > 0.0
 
 
-def test_u_step_stalls_when_density_leaves_float_range(monkeypatch, grid16):
+def test_u_step_solves_when_density_at_f_in_leaves_float_range(monkeypatch, grid16):
     # e^(lambda f_in) a0 overflows at lambda = 400, f_in = 2.  The twist
     # makes some shift A_i = 5.5 - e^2 u_i negative, so the constant-mode
     # solve has no closed-form start, and its first density, at f_in itself,
-    # overflows: it falls back to the anchor f_in, and every s-step fails on
-    # the range check instead of warning or raising ValueError, with no
-    # density handed to l_inverse.  The same shifts from an in-range
-    # potential (f_in = 0, twist e^2 u) are solved.
+    # overflows: no density at f_in is handed to l_inverse, and Newton
+    # starts from lap(f_in) raised into the domain, where U is closed form
+    # and in range.  It solves the equation under strict numerics, as it
+    # does for the same shifts from an in-range potential (f_in = 0,
+    # twist e^2 u).
     curv = build_curvature(BundleSpec((1, 3)), grid16)
     state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=10.0))
     psi = grid16.sample(lambda X, Y: np.cos(2 * np.pi * X))
     u = 0.8 * np.stack([psi, -psi])
     f_in = np.full((16, 16), 2.0)
     assert np.min(0.5 + 5.0 - np.exp(f_in) * u) < 0.0
-    densities = []
-    real_l_inverse = solvers.l_inverse
+    solves = []
+    real_solve = solvers.solve_helmholtz
 
-    def recording_l_inverse(a, eta):
-        densities.append(1)
-        return real_l_inverse(a, eta)
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(solvers, "l_inverse", recording_l_inverse)
-    with np.errstate(all="raise"), pytest.raises(PathStallError):
-        u_step(f_in, u, 0.5, curv, params)
-    assert densities == []
+    monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    with np.errstate(all="raise"):
+        U = u_step(f_in, u, 0.5, curv, params)
+    _assert_solves_u_equation(U, f_in, u, 0.5, curv, params)
+    assert len(solves) <= 10
     monkeypatch.undo()
     zero = np.zeros((16, 16))
     with np.errstate(all="raise"):
@@ -452,10 +457,9 @@ def test_u_step_stalls_when_density_leaves_float_range(monkeypatch, grid16):
 
 
 def test_u_step_far_start_out_of_float_range_converges(grid16):
-    # At f_in = 2, lambda = 400, the density e^(lambda f_in) a0 overflows,
-    # so a path anchored at f_in stalls at s = 0.  Every shift is positive,
-    # and the constant-mode solve brings the anchor back into range, where
-    # the path is solved.
+    # At f_in = 2, lambda = 400, the density e^(lambda f_in) a0 overflows.
+    # Every shift is positive, and the constant-mode solve brings the
+    # anchor back into range, where Newton solves the equation.
     curv = build_curvature(BundleSpec((1, 3)), grid16)
     state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=10.0))
     f_in = np.full((16, 16), 2.0)
@@ -464,37 +468,30 @@ def test_u_step_far_start_out_of_float_range_converges(grid16):
     _assert_solves_u_equation(U, f_in, state0.u, 0.5, curv, params)
 
 
-def test_u_step_helmholtz_failure_fails_the_s_step(monkeypatch, grid16):
-    # From this start, anchored at its mean-balanced shift f_in + c with
-    # c = -0.033, the s=1 step's first Helmholtz solve misses its forcing
-    # tolerance 3e-4 within 400 CG iterations (the coefficient spans e^-9.6
-    # to e^15.6).  That must fail the s-step, not escape as HelmholtzError;
-    # the halved step s=0.5 and then s=1 succeed.
+def test_u_step_raises_a_missed_helmholtz_solve(monkeypatch, grid16):
+    # A Newton correction whose Helmholtz solve misses its forcing tolerance
+    # is not taken: the miss leaves u_step as HelmholtzError.  The miss is
+    # forced on the first correction of a far start at lambda = 400.
     spec = BundleSpec.cosine_pair((1, 3), 0.2, ((1, 1),))
     curv = build_curvature(spec, grid16)
     state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=1000.0))
     bump = random_band_limited(grid16, np.random.default_rng(0), kmax=2, amplitude=0.05)
     f_in = state0.f + bump
-    failures = []
-    real_solve = solvers.solve_helmholtz
+    rtols = []
 
-    def recording_solve(grid, c, rhs, **kwargs):
-        try:
-            return real_solve(grid, c, rhs, **kwargs)
-        except HelmholtzError:
-            failures.append(kwargs["rtol"])
-            raise
+    def missing_solve(grid, c, rhs, *, rtol=None):
+        rtols.append(rtol)
+        raise HelmholtzError("forced miss")
 
-    monkeypatch.setattr(solvers, "solve_helmholtz", recording_solve)
-    U = u_step(f_in, state0.u, 0.5, curv, params)
-    assert failures == [3e-4]
-    _assert_solves_u_equation(U, f_in, state0.u, 0.5, curv, params)
+    monkeypatch.setattr(solvers, "solve_helmholtz", missing_solve)
+    with pytest.raises(HelmholtzError, match="forced miss"):
+        u_step(f_in, state0.u, 0.5, curv, params)
+    assert rtols == [3e-4]
 
 
-def test_u_step_grows_the_s_step_after_success(monkeypatch, grid16):
-    # From this far start eleven early s-steps fail, leaving the step near
-    # 5e-4.  An accepted step doubles the next one, so the path reaches s=1
-    # in 82 Helmholtz solves; a step that never grows back needs thousands.
+def test_u_step_solves_far_start_in_few_helmholtz_solves(monkeypatch, grid16):
+    # A far start (a bump of amplitude 1 on the t=0 state, lambda = 40):
+    # Newton in the density v = lap(U) takes 7 Helmholtz solves.
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid16)
     state0, params = solve_t0(curv, DemaillyParams(lam=40.0, alpha0=50.0))
@@ -509,7 +506,7 @@ def test_u_step_grows_the_s_step_after_success(monkeypatch, grid16):
 
     monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
     U = u_step(f_in, state0.u, 0.5, curv, params)
-    assert len(solves) <= 100
+    assert len(solves) <= 10
     shifts = 0.5 - np.exp(f_in)[None, :, :] * state0.u + 0.5 * params.alpha0
     lap_u = grid16.laplacian(U)
     target = l_inverse(shifts, np.exp(40.0 * U) * params.a0)
@@ -520,23 +517,57 @@ def test_u_step_grows_the_s_step_after_success(monkeypatch, grid16):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     case=_positively_curved_cases(),
+    lam_scale=st.sampled_from([1.0, 5.0]),
     alpha0=st.floats(2.0, 20.0),
     t=st.floats(0.0, 1.0),
-    bump=st.floats(0.0, 0.5),
+    bump=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**16),
 )
-def test_u_step_solves_its_equation_on_positively_curved_data(case, alpha0, t, bump, seed):
+def test_u_step_solves_its_equation_on_positively_curved_data(
+    case, lam_scale, alpha0, t, bump, seed
+):
     # Around the t=0 state of the positively curved family (see
-    # test_homotopy), whatever the anchor the constant-mode solve picks, U
-    # solves its own equation and stays admissible.
+    # test_homotopy), with lambda up to 5 times the family's (so up to 200)
+    # and a bump up to 1, whichever start Newton takes, U solves its own
+    # equation and stays admissible.
     spec, lam = case
     grid = make_grid(16, float(spec.degree_sum))
     curv = build_curvature(spec, grid)
-    state0, params = solve_t0(curv, DemaillyParams(lam=lam, alpha0=alpha0))
+    state0, params = solve_t0(curv, DemaillyParams(lam=lam_scale * lam, alpha0=alpha0))
     rng = np.random.default_rng(seed)
     f_in = state0.f + random_band_limited(grid, rng, kmax=2, amplitude=bump)
     U = u_step(f_in, state0.u, t, curv, params)
     _assert_solves_u_equation(U, f_in, state0.u, t, curv, params)
+
+
+def test_u_step_solves_the_large_lambda_far_start_grid(monkeypatch, grid16):
+    # 48 far starts at lambda = 400: the t=0 state plus a bump of amplitude
+    # 0.15 or 0.2 (seeds 0-3), alpha0 in {10, 100, 1000}, t in {0.5, 1}.
+    # Newton in the density solves every member to newton_tol, admissibly,
+    # under strict numerics, in 3-6 Helmholtz solves each (about 0.3 s for
+    # the grid).
+    spec = BundleSpec.cosine_pair((1, 3), 0.2, ((1, 1),))
+    curv = build_curvature(spec, grid16)
+    solves = []
+    real_solve = solvers.solve_helmholtz
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    for alpha0 in (10.0, 100.0, 1000.0):
+        state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=alpha0))
+        for t in (0.5, 1.0):
+            for amplitude in (0.15, 0.2):
+                for seed in range(4):
+                    rng = np.random.default_rng(seed)
+                    f_in = state0.f + random_band_limited(grid16, rng, kmax=2, amplitude=amplitude)
+                    solves.clear()
+                    with np.errstate(all="raise"):
+                        U = u_step(f_in, state0.u, t, curv, params)
+                    _assert_solves_u_equation(U, f_in, state0.u, t, curv, params)
+                    assert len(solves) <= 10
 
 
 # ------------------------------------------------------------------- Picard
@@ -1142,11 +1173,11 @@ def _count_cg_matvecs(monkeypatch):
 def test_picard_readme_case_t1_work_pinned(monkeypatch):
     # The README case at n=32, started from the t=0 state at t=1, under
     # strict numerics.  Each step is one u_step and one v_step (r-1 = 1
-    # Helmholtz solve); every u_step is accepted at s=1.  u_step solves the
-    # constant mode before the path, so its inner Newton takes 2, 2, 1, 1
-    # and 1 solves, which stop at the Newton forcing tolerance (15 CG
-    # matvecs); each v_step's exact solve takes 3.  Left to the inner
-    # Newton, the constant mode takes 13 inner solves and 41 matvecs.
+    # Helmholtz solve).  u_step starts Newton in the density at its
+    # mean-balanced anchor f_in + c, so it takes 2, 2, 1, 1 and 1 solves,
+    # which stop at the Newton forcing tolerance (15 CG matvecs); each
+    # v_step's exact solve takes 3.  Anchored at f_in itself, the constant
+    # mode takes 13 inner solves and 41 matvecs.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid)
@@ -1175,18 +1206,17 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
 
 def test_picard_step_laplacian_count_pinned(monkeypatch):
     # The first Picard step of the README case at n=32, from the t=0 state
-    # taken to t=1, takes 11 Laplacians: u_step takes one of f_in, none for
-    # its constant-mode solve, one per inner Newton trial (2) and one per
-    # matvec of its 2 inexact CG solves (4); V, taken at the new potential
-    # U, not at the start's f = 0, has a varying Helmholtz coefficient e^U,
-    # so its exact solve goes through CG (3 matvecs) and checks its residual
-    # (1).  The count rises when a Helmholtz solve takes the Laplacian of its
-    # zero start, when an inexact solve checks its residual, when u_step's
-    # admissibility check recomputes the Laplacian of its last path
-    # residual, when an inner Newton recomputes the Laplacian of its start
-    # (the anchor f_in + c, whose Laplacian is that of f_in, which u_step
-    # already holds, or an accepted trial), or when the constant mode is
-    # left to the inner Newton (28, with 8 inner solves).
+    # taken to t=1, takes 12 Laplacians.  u_step takes one of f_in, which
+    # is also that of its anchor start f_in + c, one of the potential of
+    # its other start (lap(f_in) raised into the domain), none for its
+    # constant-mode solve, one per Newton trial (2) and one per matvec of
+    # its 2 inexact CG solves (4).  V, taken at the new potential U, not at
+    # the start's f = 0, has a varying Helmholtz coefficient e^U, so its
+    # exact solve goes through CG (3 matvecs) and checks its residual (1).
+    # The count rises when a Helmholtz solve takes the Laplacian of its zero
+    # start, when an inexact solve checks its residual, when u_step takes
+    # the Laplacian of its anchor instead of reusing lap(f_in), or when a
+    # full step is rejected and backtracked in the density.
     grid = make_grid(32, 4.0)
     curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
     state0, filled = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
@@ -1199,4 +1229,4 @@ def test_picard_step_laplacian_count_pinned(monkeypatch):
 
     monkeypatch.setattr(Grid, "laplacian", counted)
     picard_step(State(grid, state0.f, state0.u, 1.0), curv, filled)
-    assert len(calls) == 11
+    assert len(calls) == 12
