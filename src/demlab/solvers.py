@@ -22,8 +22,13 @@ Four layers, bottom up:
   solves, the last twist log rebuilt from the trace constraint).
   ``picard_step`` applies U, then V at the new potential, and reports the
   gap; a zero gap means U(f, u) = f and V(U) = u, which is U(f, u) = f and
-  V(f) = u, so the fixed points are exactly the solutions.  ``picard_solve``
-  repeats it until the gap is small.
+  V(f) = u, so the fixed points are exactly the solutions.  Its U step
+  stops once the next correction would move U by at most 1% of the step
+  U - f_in (Eisenstat & Walker 1996): that correction solves
+  (lap - slope) w = lambda F with slope > 0, so by the maximum principle
+  it moves U by at most sup|F / slope|.  At a fixed point the step
+  vanishes and only the residual test can stop.  ``picard_solve``
+  repeats the step until the gap is small.
 * ``newton_at_t``: damped Newton at fixed t on the reduced unknowns
   (f, u_1..u_{r-1}), with u_r eliminated so det g = 1 holds exactly.  The
   linear systems use the exact Frechet derivative, solved by restarted
@@ -281,20 +286,23 @@ def _mean_balanced_shift(
     stop at the first step |dc| <= _SHIFT_RTOL (1 + |c|): c gives
     ``u_step`` a start, not a solution.  Returns 0.0, the start f_in
     itself, when a density e^(lambda (f_in + c)) a0 leaves the
-    floating-point range, a step is not finite, or _SHIFT_ITERS steps do
-    not stop.
+    floating-point range, a step is not finite or fails to halve the step
+    before it (scalar Newton creeping on a mean dominated by the density's
+    peaks), or _SHIFT_ITERS steps do not stop.
     """
     c = 0.0
     if np.min(a) > 0.0:
         c = float(np.mean((np.sum(np.log(a), axis=0) - log_a0) / lam - f_in))
+    last = np.inf
     for _ in range(_SHIFT_ITERS):
         log_eta = lam * (f_in + c) + log_a0
         if not _in_float_range(log_eta):
             return 0.0
         v = l_inverse(a, np.exp(log_eta))
         step = -float(np.mean(v)) / float(np.mean(_l_inverse_slope(v, a, lam)))
-        if not np.isfinite(step):
+        if not (np.isfinite(step) and abs(step) <= 0.5 * last):
             return 0.0
+        last = abs(step)
         c += max(-_MAX_F_STEP, min(step, _MAX_F_STEP))
         if abs(step) <= _SHIFT_RTOL * (1.0 + abs(c)):
             return c if _in_float_range(lam * (f_in + c) + log_a0) else 0.0
@@ -327,6 +335,8 @@ def u_step(
     t: float,
     curv: CurvatureData,
     params: DemaillyParams,
+    *,
+    step_rtol: float = 0.0,
 ) -> ScalarField:
     """Resolve the determinant equation for the potential at frozen twist.
 
@@ -359,6 +369,13 @@ def u_step(
     domain.  Raises NoDescentError when backtracking finds no decrease,
     MaxIterationsError after _MAX_ITERS corrections, and HelmholtzError
     when a correction misses its tolerance.
+
+    Newton stops at sup|F| <= newton_tol, or, given ``step_rtol`` > 0, once
+    sup|F / slope| <= step_rtol sup|U - f_in|, slope = lambda/D the
+    coefficient of the next correction.  That correction would move U by
+    w/lambda, and at the maximum of |w| the equation gives
+    sup|w/lambda| <= sup|F / slope|, so U is within about step_rtol
+    sup|U - f_in| of the exact U.  The default 0 stops only at newton_tol.
     """
     grid = curv.grid
     log_a0 = params.log_a0
@@ -401,12 +418,15 @@ def u_step(
     point = raised if anchor is None or raised.res < anchor.res else anchor
     corrections = 0
     while not params.converged(point.res):
+        slope = _l_inverse_slope(point.v, a, lam)
+        # The next correction would move U by at most sup|F / slope|.
+        if grid.sup(point.F / slope) <= step_rtol * grid.sup(point.U - f_in):
+            break
         if corrections == _MAX_ITERS:
             raise MaxIterationsError(
                 f"u_step: residual {point.res:.3e} after {_MAX_ITERS} corrections (t={t})"
             )
         corrections += 1
-        slope = _l_inverse_slope(point.v, a, lam)
         w = solve_helmholtz(grid, slope, lam * point.F, rtol=_forcing(point.res))
         dU = w / lam
         top = grid.sup(dU)
@@ -425,17 +445,23 @@ def u_step(
     return point.U
 
 
+_PICARD_STEP_RTOL = 1e-2  # ``picard_step``'s U step stops within 1% of its step
+
+
 def picard_step(
     state: State, curv: CurvatureData, params: DemaillyParams
 ) -> tuple[State, float]:
     """One application of the fixed-point map: U, then V at the new potential.
 
     Replaces (f, u) by (U, V) with U = U(f, u) and V = V(U).  Returns the new
-    state at the same t and the sup gap |(f, u) - (U, V)|.  The gap vanishes
-    exactly when U(f, u) = f and V(f) = u, that is, when the state solves the
-    system at its t.
+    state at the same t and the sup gap |(f, u) - (U, V)|.  U is solved to
+    within about 1% of its step (``u_step`` with step_rtol
+    _PICARD_STEP_RTOL), so the gap is measured to a U that close to the
+    exact one; at a fixed point that step vanishes, U is solved to
+    newton_tol, and a zero gap still means U(f, u) = f and V(f) = u, that
+    is, the state solves the system at its t.
     """
-    new_f = u_step(state.f, state.u, state.t, curv, params)
+    new_f = u_step(state.f, state.u, state.t, curv, params, step_rtol=_PICARD_STEP_RTOL)
     new_state = State(state.grid, new_f, v_step(new_f, curv), state.t)
     return new_state, state_distance(state, new_state)
 

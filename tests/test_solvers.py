@@ -1,11 +1,12 @@
 """Helmholtz kernel, t=0 construction, fixed-point map halves, and Newton."""
 
+import functools
 import logging
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demlab import (
@@ -570,6 +571,63 @@ def test_u_step_solves_the_large_lambda_far_start_grid(monkeypatch, grid16):
                     assert len(solves) <= 10
 
 
+def test_mean_balanced_shift_stops_when_its_steps_stop_halving(monkeypatch, grid16):
+    # On the large-lambda far-start grid above, the mean of the density is
+    # dominated by its peaks, so scalar Newton on the shift creeps: its
+    # second step does not halve the first.  The shift then gives up at
+    # once, after 2 l_inverse calls per member (96 for the grid, not the
+    # whole budget of 8 each), and returns 0.0, the start f_in itself; the
+    # raised lap(f_in) start wins on every member anyway.
+    spec = BundleSpec.cosine_pair((1, 3), 0.2, ((1, 1),))
+    curv = build_curvature(spec, grid16)
+    calls = []
+    real_l_inverse = solvers.l_inverse
+
+    def counted_l_inverse(*args):
+        calls.append(1)
+        return real_l_inverse(*args)
+
+    monkeypatch.setattr(solvers, "l_inverse", counted_l_inverse)
+    for alpha0 in (10.0, 100.0, 1000.0):
+        state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=alpha0))
+        for t in (0.5, 1.0):
+            for amplitude in (0.15, 0.2):
+                for seed in range(4):
+                    rng = np.random.default_rng(seed)
+                    f_in = state0.f + random_band_limited(grid16, rng, kmax=2, amplitude=amplitude)
+                    a = model.cone_shift(np.exp(f_in) * state0.u, t, alpha0)
+                    calls.clear()
+                    shift = solvers._mean_balanced_shift(f_in, a, params.lam, params.log_a0)
+                    assert shift == 0.0
+                    assert len(calls) == 2
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(
+    case=_positively_curved_cases(),
+    alpha0=st.floats(2.0, 20.0),
+    t=st.floats(0.0, 1.0),
+    bump=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+)
+@example(case=(BundleSpec.cosine_pair((1, 3), 0.2), 8.0), alpha0=10.0, t=1.0, bump=0.0, seed=0)
+def test_u_step_step_rtol_stops_within_its_share_of_the_step(case, alpha0, t, bump, seed):
+    # With step_rtol, Newton stops once the next correction would move U by
+    # at most step_rtol sup|U - f_in|, a bound the maximum principle gives
+    # for the correction's Helmholtz solve.  Around the t=0 state of the
+    # positively curved family, and on the first Picard step of the README
+    # case (the example; a step of 0.798, U lands 8.2e-4 from the exact U),
+    # picard_step's tolerance keeps U within 2% of its step of the exact U.
+    spec, lam = case
+    grid = make_grid(16, float(spec.degree_sum))
+    curv = build_curvature(spec, grid)
+    state0, params = solve_t0(curv, DemaillyParams(lam=lam, alpha0=alpha0))
+    f_in = state0.f + random_band_limited(grid, np.random.default_rng(seed), kmax=2, amplitude=bump)
+    exact = u_step(f_in, state0.u, t, curv, params)
+    loose = u_step(f_in, state0.u, t, curv, params, step_rtol=solvers._PICARD_STEP_RTOL)
+    assert grid.sup(loose - exact) <= 2e-2 * grid.sup(exact - f_in)
+
+
 # ------------------------------------------------------------------- Picard
 
 
@@ -579,6 +637,13 @@ def test_picard_gap_vanishes_on_solutions(constant_setup):
     assert gap <= 1e-9
     exact = closed_form_state(spec, params, curv.grid, 0.5)
     _, gap = picard_step(exact, curv, params)
+    assert gap <= 1e-9
+    # On varying data too: from the README case's converged t=1 state, U's
+    # step is at newton_tol level, so stopping U within 1% of it still
+    # reports such a gap.
+    cosine = BundleSpec.cosine_pair((1, 3), 0.2)
+    report = march(cosine, DemaillyParams(lam=8.0, alpha0=10.0), curv.grid)
+    _, gap = picard_step(report.final_state, build_curvature(cosine, curv.grid), report.params)
     assert gap <= 1e-9
 
 
@@ -630,6 +695,89 @@ def test_picard_solve_reaches_newtons_state(a, mode, t, seed):
     newton_sol, report = newton_at_t(state0, t, curv, params)
     assert report.converged
     assert state_distance(state, newton_sol) <= 1e-8
+
+
+@functools.cache
+def _t1_inverse_jacobian_norm(spec, lam, alpha0):
+    """||J^{-1}||_inf of the Newton Jacobian at the march's t=1 state, n=16.
+
+    J maps (df, du_1..du_{r-1}), with du_r = -(du_1 + ... + du_{r-1}), to
+    the residual rows (R_f, R_1..R_{r-1}).  Its blocks, from the dense
+    Laplacian and the coefficients apply_linearization documents, are
+    [[D lap - (lambda + a), -diag(b_j)], [-diag(e_j), lap - e^f]] with the
+    twist block the same for every j, so J^{-1} is assembled densely from
+    that block's inverse and the Schur complement's, and checked against
+    apply_linearization on a random direction.  The rows of J^{-1} for du_r
+    are minus the sum of the twist rows and are included, so the norm
+    bounds the sup over (f, u_1..u_r).
+    """
+    grid = make_grid(16, float(spec.degree_sum))
+    curv = build_curvature(spec, grid)
+    report = march(spec, DemaillyParams(lam=lam, alpha0=alpha0), grid)
+    assert report.reached_t1
+    lin = model.linearize(report.final_state, curv, report.params)
+    n, r = grid.n, spec.rank
+    nn = n * n
+    lap = grid.laplacian(np.eye(nn).reshape(nn, n, n)).reshape(nn, nn).T
+    d, lam_a, ef_inv_m = (c.reshape(-1, nn) for c in lin.potential_coefficients)
+    b = ef_inv_m[:-1] - ef_inv_m[-1]
+    e = lin.ef_u.reshape(r, nn)[:-1]
+    twist = np.linalg.inv(lap - np.diag(lin.ef.ravel()))
+    coupling = sum(b[j, :, None] * twist * e[j] for j in range(r - 1))
+    schur = np.linalg.inv(d.T * lap - np.diag(lam_a[0]) - coupling)
+    down = [twist * e[j] @ schur for j in range(r - 1)]
+    inverse = np.block(
+        [[schur, *(schur * b[k] @ twist for k in range(r - 1))]]
+        + [[down[j], *((j == k) * twist + down[j] * b[k] @ twist for k in range(r - 1))]
+           for j in range(r - 1)]
+    )
+    z = np.random.default_rng(0).normal(size=r * nn)
+    du = z[nn:].reshape(r - 1, n, n)
+    p = model.Perturbation(z[:nn].reshape(n, n), np.concatenate([du, -du.sum(axis=0)[None]]))
+    dr_f, dr_u = model.apply_linearization(lin, p)
+    assert np.allclose(inverse @ np.concatenate([dr_f.ravel(), dr_u[:-1].ravel()]), z)
+    rows = np.concatenate([inverse, -inverse[nn:].reshape(r - 1, nn, -1).sum(axis=0)])
+    return float(np.max(np.sum(np.abs(rows), axis=1)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    case=_positively_curved_cases(),
+    alpha0=st.floats(2.0, 20.0),
+    n=st.sampled_from([16, 32]),
+    bump=st.floats(0.0, 0.5),
+    seed=st.integers(0, 2**16),
+)
+def test_picard_fixed_point_is_the_marchs_solution_on_positively_curved_data(
+    case, alpha0, n, bump, seed
+):
+    # The paper's existence argument runs on the map T = (U, V), whose fixed
+    # points are the solutions.  Over the positively curved family (see
+    # test_homotopy), Picard at t=1 from the t=0 state plus a bump of up to
+    # 0.5 reaches a gap of 1e-10 and lands on the march's t=1 state.  The
+    # two states' residuals differ by J times their distance, to first
+    # order, and the march's is at most newton_tol, so the distance is at
+    # most ||J^{-1}||_inf (res + newton_tol), with res the Picard state's
+    # residual.  ||J^{-1}|| is that of the march's t=1 state at n=16: it is
+    # mesh independent (on a sample of the family, the same to 6 digits at
+    # n=32).  Numerics are strict but for underflow: hypothesis draws
+    # subnormal bump amplitudes, and the FFT of a subnormal field underflows.
+    spec, lam = case
+    grid = make_grid(n, float(spec.degree_sum))
+    curv = build_curvature(spec, grid)
+    report = march(spec, DemaillyParams(lam=lam, alpha0=alpha0), grid)
+    assert report.reached_t1
+    filled = report.params
+    start = report.steps[0].state
+    bumped = start.f + random_band_limited(grid, np.random.default_rng(seed), kmax=2, amplitude=bump)
+    with np.errstate(all="raise", under="ignore"):
+        state, gap, _ = picard_solve(
+            State(grid, bumped, start.u, 1.0), curv, filled, gap_tol=1e-10, max_steps=20
+        )
+    assert gap <= 1e-10
+    norm = _t1_inverse_jacobian_norm(spec, lam, alpha0)
+    res = residual_sup(*residual(state, curv, filled))
+    assert state_distance(state, report.final_state) <= norm * (res + filled.newton_tol)
 
 
 # ------------------------------------------------------------------- Newton
@@ -1174,10 +1322,13 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
     # The README case at n=32, started from the t=0 state at t=1, under
     # strict numerics.  Each step is one u_step and one v_step (r-1 = 1
     # Helmholtz solve).  u_step starts Newton in the density at its
-    # mean-balanced anchor f_in + c, so it takes 2, 2, 1, 1 and 1 solves,
-    # which stop at the Newton forcing tolerance (15 CG matvecs); each
-    # v_step's exact solve takes 3.  Anchored at f_in itself, the constant
-    # mode takes 13 inner solves and 41 matvecs.
+    # mean-balanced anchor f_in + c and stops once the next correction
+    # would move U by at most 1% of U - f_in, so it takes 0, 1, 1, 1 and 1
+    # solves, which stop at the Newton forcing tolerance (9 CG matvecs).
+    # The first U is the constant f_in + c (f_in = 0), so the first v_step
+    # is spectral; each later v_step's exact solve takes 3.  Solved to
+    # newton_tol on every step, u_step takes 2, 2, 1, 1 and 1 solves and the
+    # run 30 matvecs.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid)
@@ -1197,8 +1348,8 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
         state, gap, steps = picard_solve(state, curv, filled, gap_tol=1e-9, max_steps=100)
     assert gap <= 1e-9
     assert steps == 5
-    assert len(solves) - steps == 7  # u_step's inner Newton solves
-    assert len(matvecs) == 30
+    assert len(solves) - steps == 4  # u_step's inner Newton solves
+    assert len(matvecs) == 21
     monkeypatch.undo()
     newton = march(spec, replace(params, dt0=1.0), grid).final_state
     assert state_distance(state, newton) <= 1e-8
@@ -1206,17 +1357,21 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
 
 def test_picard_step_laplacian_count_pinned(monkeypatch):
     # The first Picard step of the README case at n=32, from the t=0 state
-    # taken to t=1, takes 12 Laplacians.  u_step takes one of f_in, which
-    # is also that of its anchor start f_in + c, one of the potential of
-    # its other start (lap(f_in) raised into the domain), none for its
-    # constant-mode solve, one per Newton trial (2) and one per matvec of
-    # its 2 inexact CG solves (4).  V, taken at the new potential U, not at
-    # the start's f = 0, has a varying Helmholtz coefficient e^U, so its
-    # exact solve goes through CG (3 matvecs) and checks its residual (1).
-    # The count rises when a Helmholtz solve takes the Laplacian of its zero
-    # start, when an inexact solve checks its residual, when u_step takes
-    # the Laplacian of its anchor instead of reusing lap(f_in), or when a
-    # full step is rejected and backtracked in the density.
+    # taken to t=1, takes 2 Laplacians: u_step takes one of f_in, which is
+    # also that of its anchor start f_in + c, and one of the potential of
+    # its other start (lap(f_in) raised into the domain).  The anchor is
+    # within picard_step's step tolerance, so no correction is taken, and
+    # V at the constant potential f_in + c (f_in = 0) is solved spectrally.
+    #
+    # Solved exactly (u_step's default, then v_step), the same step takes
+    # 12: the two above, none for the constant-mode solve, one per Newton
+    # trial (2) and one per matvec of the 2 inexact CG solves (4).  V, taken
+    # at the new potential U, has a varying Helmholtz coefficient e^U, so
+    # its exact solve goes through CG (3 matvecs) and checks its residual
+    # (1).  That count rises when a Helmholtz solve takes the Laplacian of
+    # its zero start, when an inexact solve checks its residual, when u_step
+    # takes the Laplacian of its anchor instead of reusing lap(f_in), or
+    # when a full step is rejected and backtracked in the density.
     grid = make_grid(32, 4.0)
     curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid)
     state0, filled = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
@@ -1229,4 +1384,7 @@ def test_picard_step_laplacian_count_pinned(monkeypatch):
 
     monkeypatch.setattr(Grid, "laplacian", counted)
     picard_step(State(grid, state0.f, state0.u, 1.0), curv, filled)
+    assert len(calls) == 2
+    calls.clear()
+    v_step(u_step(state0.f, state0.u, 1.0, curv, filled), curv)
     assert len(calls) == 12
