@@ -5,11 +5,10 @@ Four layers, bottom up:
 * ``solve_helmholtz``: the linear kernel (lap - c) w = rhs with c > 0,
   solved spectrally when c is constant and by conjugate gradients
   (``krylov.cg``, preconditioned by the mean coefficient) otherwise: by
-  default by iterative refinement, from zero or from a given start, to a
-  checked sup residual of 1e-11 (|rhs| + |w|) or, given ``step_rtol``,
-  to within that share of the step from the start; or, given a relative
-  tolerance ``rtol``, in one CG solve to that tolerance.  Everything else
-  reduces to it.
+  default by iterative refinement to a checked sup residual of 1e-11
+  (|rhs| + |w|), from zero or, given a start, until also within about
+  0.1% of the step from it; or, given a relative tolerance ``rtol``, in
+  one CG solve to that tolerance.  Everything else reduces to it.
 * ``solve_t0``: the explicit construction of the starting solution at t=0
   (f = 0, twist logs from ``v_step`` at f = 0) together with the offset
   alpha0 and the reference density a0 it determines.
@@ -31,8 +30,10 @@ Four layers, bottom up:
   U - f_in (Eisenstat & Walker 1996): that correction solves
   (lap - slope) w = lambda F with slope > 0, so by the maximum principle
   it moves U by at most sup|F / slope|.  Its V step refines each row
-  from the current twist and stops within 0.1% of its step, a bound the
-  maximum principle gives the same way.  At a fixed point both steps
+  from the current twist and stops within about 0.1% of its step, a
+  bound the maximum principle gives the same way; both bounds hold about,
+  as the spectral Laplacian keeps the maximum principle only
+  approximately, on well-resolved fields.  At a fixed point both steps
   vanish and only the residual tests can stop.  ``picard_solve``
   repeats the step until the gap is small.
 * ``newton_at_t``: damped Newton at fixed t on the reduced unknowns
@@ -86,6 +87,12 @@ from .model import (
 )
 
 
+# A started ``solve_helmholtz`` stops within about 0.1% of its step.  For
+# ``picard_step``'s V step 1e-2 and 2e-3 each cost one of 20 drawn starts of
+# the README case at n=64 a sixth Picard step, and 5e-4 took more matvecs.
+_HELMHOLTZ_STEP_RTOL = 1e-3
+
+
 class HelmholtzError(RuntimeError):
     """Inner linear solve failed to reach its residual target."""
 
@@ -121,15 +128,12 @@ def _backtrack(trial_at, res: float):
     return None
 
 
-def solve_helmholtz(
-    grid: Grid, c, rhs: ScalarField, *, rtol=None, start=None, step_rtol=0.0
-) -> ScalarField:
+def solve_helmholtz(grid: Grid, c, rhs: ScalarField, *, rtol=None, start=None) -> ScalarField:
     """Solve lap(w) - c*w = rhs for strictly positive c.
 
     ``c`` may be a scalar or a field.  The operator is symmetric negative
     definite, so the solution is unique.  A constant coefficient is solved
-    spectrally, to roundoff, whatever ``rtol``, ``start`` and ``step_rtol``
-    are.
+    spectrally, to roundoff, whatever ``rtol`` and ``start`` are.
 
     By default (``rtol=None``) the result satisfies the equation with
     sup-norm residual at most 1e-11 * (|rhs| + |w|); failure to reach that
@@ -143,12 +147,14 @@ def solve_helmholtz(
     HelmholtzError, as soon as a round fails to halve the sup residual of
     the round before.
 
-    Given ``step_rtol`` > 0, which needs a ``start``, each round's CG runs
-    to the relative tolerance step_rtol instead, and refinement also stops
-    once sup|r / c| <= step_rtol sup|w - start|.  The error e of w solves
-    (lap - c) e = -r, so by the maximum principle sup|e| <= sup|r / c|:
-    w is within step_rtol of its step from ``start`` of the exact solution.
-    Where the step vanishes only the target stops the refinement.
+    Given a ``start``, each round's CG runs to the relative tolerance
+    _HELMHOLTZ_STEP_RTOL (1e-3) instead, and refinement also stops once
+    sup|r / c| <= _HELMHOLTZ_STEP_RTOL sup|w - start|.  The error e of w
+    solves (lap - c) e = -r, so by the maximum principle sup|e| <=
+    sup|r / c|, and w is within about 0.1% of its step from ``start`` of
+    the exact solution: about, because the spectral Laplacian keeps the
+    maximum principle only approximately, on well-resolved fields.  Where
+    the step vanishes only the target stops the refinement.
 
     With ``rtol`` given, finite and in (0, 1), a variable coefficient is
     solved inexactly: one CG solve from zero with the same preconditioner
@@ -159,8 +165,6 @@ def solve_helmholtz(
     """
     if rtol is not None and not (np.isfinite(rtol) and 0.0 < rtol < 1.0):
         raise ValueError(f"rtol must be finite and in (0, 1), got {rtol}")
-    if start is None and step_rtol > 0.0:
-        raise ValueError(f"step_rtol {step_rtol} needs a start")
     if start is not None and rtol is not None:
         raise ValueError("an inexact solve (rtol given) takes no start")
     rhs = grid.bind(rhs)
@@ -201,8 +205,10 @@ def solve_helmholtz(
         return x.reshape(n, n)
     # From x = 0 the residual is b, so the first round skips the check.  The
     # residual lap(w) - c*w - rhs is b - matvec(x) bit for bit, so it is also
-    # the next round's right side.
+    # the next round's right side.  A started solve's CG runs to the same
+    # relative tolerance as its step test.
     x = np.zeros(nn) if start is None else grid.bind(start).flatten()
+    step_rtol = 1e-13 if start is None else _HELMHOLTZ_STEP_RTOL
     r = b
     res_prev = np.inf
     for rounds in range(6):
@@ -213,13 +219,13 @@ def solve_helmholtz(
             target = 1e-11 * (grid.sup(rhs) + grid.sup(w))
             if res <= max(target, 1e-300):
                 return w
-            if step_rtol > 0.0 and grid.sup(resid / c_arr) <= step_rtol * grid.sup(w - start):
+            if start is not None and grid.sup(resid / c_arr) <= step_rtol * grid.sup(w - start):
                 return w
             if res > 0.5 * res_prev or rounds == 5:
                 break
             res_prev = res
             r = resid.ravel()
-        dx, _ = cg(op, r, rtol=max(step_rtol, 1e-13), maxiter=400, M=prec)
+        dx, _ = cg(op, r, rtol=step_rtol, maxiter=400, M=prec)
         x = x + dx
     raise HelmholtzError(
         f"residual {res:.3e} above target {target:.3e} after refinement"
@@ -272,7 +278,7 @@ def solve_t0(
     return state, filled
 
 
-def v_step(f: ScalarField, curv: CurvatureData, *, start=None, step_rtol=0.0) -> np.ndarray:
+def v_step(f: ScalarField, curv: CurvatureData, *, start=None) -> np.ndarray:
     """Resolve the trace-free equations at frozen potential.
 
     Returns the unique twist logs with lap(u_i) = s_i + e^f u_i.  Their sum
@@ -281,17 +287,17 @@ def v_step(f: ScalarField, curv: CurvatureData, *, start=None, step_rtol=0.0) ->
     rebuilt from them (zero at rank one, where s_1 = 0).
 
     Given the twist logs ``start``, each row's solve refines from its row
-    of it, and given ``step_rtol`` > 0 too, stops once that row is within
-    step_rtol of its step from ``start`` of the exact row
-    (``solve_helmholtz``).  By default each row is solved from zero to the
-    residual target.  A constant potential is solved spectrally either way.
+    of it and stops once that row is within about 0.1% of its step from
+    ``start`` of the exact row (``solve_helmholtz`` with a start).  By
+    default each row is solved from zero to the residual target.  A
+    constant potential is solved spectrally either way.
     """
     grid = curv.grid
     c = np.exp(grid.bind(f))
     u = np.zeros(curv.s.shape)
     for i in range(curv.rank - 1):
         row = None if start is None else start[i]
-        u[i] = solve_helmholtz(grid, c, curv.s[i], start=row, step_rtol=step_rtol)
+        u[i] = solve_helmholtz(grid, c, curv.s[i], start=row)
     return _with_trace_row(u[:-1])
 
 
@@ -450,9 +456,6 @@ def u_step(
 
 
 _PICARD_STEP_RTOL = 1e-2  # ``picard_step``'s U step stops within 1% of its step
-# and its V step within 0.1%: at 1e-2 or 2e-3, one of 20 drawn starts of the
-# README case at n=64 took a sixth Picard step.
-_PICARD_V_RTOL = 1e-3
 
 
 def picard_step(
@@ -463,15 +466,16 @@ def picard_step(
     Replaces (f, u) by (U, V) with U = U(f, u) and V = V(U).  Returns the new
     state at the same t and the sup gap |(f, u) - (U, V)|.  U is solved to
     within about 1% of its step (``u_step`` with step_rtol
-    _PICARD_STEP_RTOL), and V from the current twist u to within 0.1% of
-    its step (``v_step`` with start u and step_rtol _PICARD_V_RTOL), so the
-    gap is measured to a U and a V that close to the exact ones.  At a
+    _PICARD_STEP_RTOL), and V from the current twist u to within about
+    0.1% of its step (``v_step`` with start u, which stops at
+    _HELMHOLTZ_STEP_RTOL), so the gap is measured to a U and a V that
+    close to the exact ones.  At a
     fixed point both steps vanish, U is solved to newton_tol and V to the
     Helmholtz residual target, and a zero gap still means U(f, u) = f and
     V(f) = u, that is, the state solves the system at its t.
     """
     new_f = u_step(state.f, state.u, state.t, curv, params, step_rtol=_PICARD_STEP_RTOL)
-    new_u = v_step(new_f, curv, start=state.u, step_rtol=_PICARD_V_RTOL)
+    new_u = v_step(new_f, curv, start=state.u)
     new_state = State(state.grid, new_f, new_u, state.t)
     return new_state, state_distance(state, new_state)
 

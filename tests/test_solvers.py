@@ -200,35 +200,30 @@ def test_helmholtz_start_that_solves_takes_no_cg(monkeypatch, grid16):
     c, rhs, _ = _variable_case(grid16, 8)
     w = solve_helmholtz(grid16, c, rhs)
     infos = _count_cg(monkeypatch)
-    for step_rtol in (0.0, 1e-3):
-        assert np.array_equal(solve_helmholtz(grid16, c, rhs, start=w, step_rtol=step_rtol), w)
+    assert np.array_equal(solve_helmholtz(grid16, c, rhs, start=w), w)
     assert infos == []
 
 
 @pytest.mark.parametrize("seed", [3, 8, 21])
-@pytest.mark.parametrize("step_rtol", [1e-1, 1e-2, 1e-3])
-def test_helmholtz_step_rtol_bounds_the_error_by_the_step(grid16, seed, step_rtol):
-    # The maximum principle bounds the error by sup|r / c|, which the solve
-    # stops at step_rtol times the step from the start.
+@pytest.mark.parametrize("distance", [1e-1, 1e-3])
+def test_helmholtz_start_stops_within_its_share_of_the_step(grid16, seed, distance):
+    # The maximum principle bounds the error by sup|r / c|, which a started
+    # solve stops at _HELMHOLTZ_STEP_RTOL times the step from the start.
+    # The spectral Laplacian keeps that principle only approximately, on
+    # well-resolved fields, so the data are smooth on purpose (kmax <= 5 on
+    # n = 16); there the error is at most 3e-4 of the tie.
     c, rhs, rng = _variable_case(grid16, seed)
     exact = solve_helmholtz(grid16, c, rhs)
-    start = exact + random_band_limited(grid16, rng, kmax=5, amplitude=1e-3)
-    w = solve_helmholtz(grid16, c, rhs, start=start, step_rtol=step_rtol)
-    assert grid16.sup(w - exact) <= step_rtol * grid16.sup(w - start)
-
-
-def test_helmholtz_start_without_step_rtol_meets_the_target(grid16):
-    c, rhs, rng = _variable_case(grid16, 8)
-    start = random_band_limited(grid16, rng, kmax=5, amplitude=1.0)
+    start = exact + random_band_limited(grid16, rng, kmax=5, amplitude=distance)
     w = solve_helmholtz(grid16, c, rhs, start=start)
-    res = grid16.laplacian(w) - c * w - rhs
-    assert grid16.sup(res) <= 1e-11 * (grid16.sup(rhs) + grid16.sup(w))
+    assert grid16.sup(w - exact) <= solvers._HELMHOLTZ_STEP_RTOL * grid16.sup(w - start)
+    # The tie, not the residual target, stopped it.
+    res = grid16.sup(grid16.laplacian(w) - c * w - rhs)
+    assert res > 1e-11 * (grid16.sup(rhs) + grid16.sup(w))
 
 
-def test_helmholtz_rejects_step_rtol_without_start_and_start_with_rtol(grid16):
+def test_helmholtz_rejects_a_start_with_rtol(grid16):
     c, rhs, _ = _variable_case(grid16, 8)
-    with pytest.raises(ValueError, match="needs a start"):
-        solve_helmholtz(grid16, c, rhs, step_rtol=1e-3)
     with pytest.raises(ValueError, match="takes no start"):
         solve_helmholtz(grid16, c, rhs, rtol=1e-3, start=np.zeros((16, 16)))
 
@@ -716,10 +711,10 @@ def test_picard_takes_v_at_the_new_potential(constant_setup):
     base = closed_form_state(spec, params, grid, 0.5)
     start = State(grid, base.f + random_band_limited(grid, rng, kmax=2, amplitude=0.05), base.u, 0.5)
     new, _ = picard_step(start, curv, params)
-    # V is solved from the current twist to within _PICARD_V_RTOL of its
-    # step, so it lies within that tie of the exact V at the new potential
-    # and far outside it of the exact V at the old one.
-    tie = solvers._PICARD_V_RTOL * grid.sup(new.u - start.u)
+    # V is solved from the current twist to within _HELMHOLTZ_STEP_RTOL of
+    # its step, so it lies within that tie of the exact V at the new
+    # potential and far outside it of the exact V at the old one.
+    tie = solvers._HELMHOLTZ_STEP_RTOL * grid.sup(new.u - start.u)
     assert grid.sup(new.u - v_step(new.f, curv)) <= tie
     assert grid.sup(new.u - v_step(start.f, curv)) >= 10.0 * tie
 
