@@ -19,7 +19,8 @@ Four layers, bottom up:
   an admissible density can exist, started from lap(f_in) raised into the
   domain or from f_in shifted by the closed-form constant U takes where
   lap(U) = 0; each correction solved inexactly to the forcing tolerance
-  of ``newton_at_t``; ConeViolationError, NoDescentError,
+  of ``newton_at_t``, floored at a tenth of the residual at which U stops
+  over the current one; ConeViolationError, NoDescentError,
   MaxIterationsError or HelmholtzError when it cannot be solved),
   V resolves the trace-free equations at frozen potential (r-1 Helmholtz
   solves, the last twist log rebuilt from the trace constraint).
@@ -314,15 +315,21 @@ def _in_float_range(log_eta: np.ndarray) -> bool:
     return bool(np.all(np.abs(log_eta) < _LOG_ETA_LIMIT))
 
 
-def _forcing(res: float) -> float:
+def _forcing(res: float, stop: float = 0.0) -> float:
     """Relative tolerance of the linear solve of a Newton step at residual sup ``res``.
 
     The inexact-Newton rule (Dembo, Eisenstat & Steihaug 1982): the inner
     tolerance follows the nonlinear residual, so the last steps converge
     quadratically, and is capped at 3e-4: at 1e-3 the last residual of an
     ample march could land near newton_tol and cost a fifth iteration.
+    Given the residual ``stop`` at which the Newton loop will stop, the
+    tolerance is floored at 0.1 stop / res, the safeguard against
+    oversolving (Eisenstat & Walker 1996; Kelley 1995, section 6.3): the
+    solve then leaves a linear residual of about a tenth of ``stop``, and
+    no tighter solve helps the stopping test pass.  ``newton_at_t`` passes
+    no ``stop``.
     """
-    return max(min(3e-4, res), 1e-13)
+    return max(min(3e-4, res), 0.1 * stop / res, 1e-13)
 
 
 class _UIterate(NamedTuple):
@@ -368,12 +375,14 @@ def u_step(
     on constant data; c = 0 unless every A_i is positive.  With
     D = sum_i 1/(v + A_i), a correction solves (lap - lambda/D) w =
     lambda F, an inexact Helmholtz solve to the relative tolerance
-    ``_forcing(sup|F|)``, the rule ``newton_at_t`` applies to its GMRES
-    solves; it moves U by w/lambda and v by w/D.  The full step is tried
-    additively in U, clamped to _MAX_F_STEP, with v = L^{-1}_A(e^(lambda U)
-    a0) when that density is in the floating-point range; when it does not
-    lower sup|F| the step is backtracked additively in v, inside the
-    domain.  Raises NoDescentError when backtracking finds no decrease,
+    ``_forcing(sup|F|, stop)``: the rule ``newton_at_t`` applies to its
+    GMRES solves, floored at 0.1 stop / sup|F| against oversolving
+    (Eisenstat & Walker 1996; Kelley 1995, section 6.3), with stop the
+    residual at which Newton stops (below).  It moves U by w/lambda and v
+    by w/D.  The full step is tried additively in U, clamped to
+    _MAX_F_STEP, with v = L^{-1}_A(e^(lambda U) a0) when that density is in
+    the floating-point range; when it does not lower sup|F| the step is
+    backtracked additively in v, inside the domain.  Raises NoDescentError when backtracking finds no decrease,
     MaxIterationsError after _MAX_ITERS corrections, and HelmholtzError
     when a correction misses its tolerance.
 
@@ -383,7 +392,13 @@ def u_step(
     w/lambda, and at the maximum of |w| the equation gives
     sup|w/lambda| <= sup|F / slope|, so U is within about step_rtol
     sup|U - f_in| of the exact U.  The default 0 stops only at newton_tol.
+    As sup|F / slope| <= sup|F| / min(slope), both tests hold once sup|F|
+    <= stop = max(newton_tol, step_rtol sup|U - f_in| min(slope)), and a
+    correction is taken only above it, so its floor stays below 0.1.  A
+    ``step_rtol`` that is not finite or not in [0, 1) raises ValueError.
     """
+    if not 0.0 <= step_rtol < 1.0:
+        raise ValueError(f"step_rtol must be finite and in [0, 1), got {step_rtol}")
     grid = curv.grid
     log_a0 = params.log_a0
     lam = params.lam
@@ -430,14 +445,17 @@ def u_step(
     while not params.converged(point.res):
         slope = _l_inverse_slope(point.v, a, lam)
         # The next correction would move U by at most sup|F / slope|.
-        if grid.sup(point.F / slope) <= step_rtol * grid.sup(point.U - f_in):
+        step_tie = step_rtol * grid.sup(point.U - f_in)
+        if grid.sup(point.F / slope) <= step_tie:
             break
         if corrections == _MAX_ITERS:
             raise MaxIterationsError(
                 f"u_step: residual {point.res:.3e} after {_MAX_ITERS} corrections (t={t})"
             )
         corrections += 1
-        w = solve_helmholtz(grid, slope, lam * point.F, rtol=_forcing(point.res))
+        # Both stopping tests hold once sup|F| <= stop, and point.res > stop.
+        stop = max(params.newton_tol, step_tie * np.min(slope))
+        w = solve_helmholtz(grid, slope, lam * point.F, rtol=_forcing(point.res, stop))
         dU = w / lam
         top = grid.sup(dU)
         if top > _MAX_F_STEP:
@@ -494,7 +512,7 @@ def picard_solve(
     still above ``gap_tol``.  The gap does not bound the model residual:
     U solves its equation as v - lap(U), not in the log-determinant form
     of r_f, and on positively curved data a gap <= 1e-10 has left a
-    ``residual_sup`` of 1.2e-8.  A caller that needs a converged state checks
+    ``residual_sup`` of 5.5e-9.  A caller that needs a converged state checks
     ``params.converged(residual_sup(*residual(state, curv, params)))``.
     """
     gap = np.inf

@@ -588,7 +588,9 @@ def test_u_step_solves_the_large_lambda_far_start_grid(monkeypatch, grid16):
     # 0.15 or 0.2 (seeds 0-3), alpha0 in {10, 100, 1000}, t in {0.5, 1}.
     # Newton in the density solves every member to newton_tol, admissibly,
     # under strict numerics, in 3-6 Helmholtz solves each (about 0.3 s for
-    # the grid).
+    # the grid).  The corrections' CG tolerances are floored at a tenth of
+    # newton_tol over sup|F|, which costs no extra correction: 236 solves
+    # and 1011 CG matvecs in all (1044 with the floor left out).
     spec = BundleSpec.cosine_pair((1, 3), 0.2, ((1, 1),))
     curv = build_curvature(spec, grid16)
     solves = []
@@ -599,6 +601,8 @@ def test_u_step_solves_the_large_lambda_far_start_grid(monkeypatch, grid16):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    matvecs = _count_cg_matvecs(monkeypatch)
+    total_solves = 0
     for alpha0 in (10.0, 100.0, 1000.0):
         state0, params = solve_t0(curv, DemaillyParams(lam=400.0, alpha0=alpha0))
         for t in (0.5, 1.0):
@@ -611,6 +615,9 @@ def test_u_step_solves_the_large_lambda_far_start_grid(monkeypatch, grid16):
                         U = u_step(f_in, state0.u, t, curv, params)
                     _assert_solves_u_equation(U, f_in, state0.u, t, curv, params)
                     assert len(solves) <= 10
+                    total_solves += len(solves)
+    assert total_solves == 236
+    assert len(matvecs) <= 1011
 
 
 def test_u_step_anchor_costs_one_l_inverse_call(monkeypatch):
@@ -665,6 +672,30 @@ def test_u_step_step_rtol_stops_within_its_share_of_the_step(case, alpha0, t, bu
     exact = u_step(f_in, state0.u, t, curv, params)
     loose = u_step(f_in, state0.u, t, curv, params, step_rtol=solvers._PICARD_STEP_RTOL)
     assert grid.sup(loose - exact) <= 2e-2 * grid.sup(exact - f_in)
+
+
+@pytest.mark.parametrize("step_rtol", [np.nan, np.inf, -1e-3, 1.0])
+def test_u_step_rejects_step_rtol_outside_the_unit_interval(monkeypatch, grid16, step_rtol):
+    # A NaN would turn the step test off and a tie of 1 or more could return
+    # the start unsolved; either is refused before any Helmholtz solve, on a
+    # far start that picard_step's tie solves with corrections.
+    curv = build_curvature(BundleSpec.cosine_pair((1, 3), 0.2), grid16)
+    state0, params = solve_t0(curv, DemaillyParams(lam=8.0, alpha0=10.0))
+    f_in = random_band_limited(grid16, np.random.default_rng(1), kmax=2, amplitude=0.05)
+    solves = []
+    real_solve = solvers.solve_helmholtz
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "solve_helmholtz", counted_solve)
+    u_step(f_in, state0.u, 1.0, curv, params, step_rtol=solvers._PICARD_STEP_RTOL)
+    assert solves
+    solves.clear()
+    with pytest.raises(ValueError, match="step_rtol"):
+        u_step(f_in, state0.u, 1.0, curv, params, step_rtol=step_rtol)
+    assert solves == []
 
 
 # ------------------------------------------------------------------- Picard
@@ -787,26 +818,29 @@ def _t1_inverse_jacobian_norm(spec, lam, alpha0):
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(
     case=_positively_curved_cases(),
+    lam_scale=st.sampled_from([1.0, 5.0]),
     alpha0=st.floats(2.0, 20.0),
     n=st.sampled_from([16, 32]),
-    bump=st.floats(0.0, 0.5),
+    bump=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**16),
 )
 def test_picard_fixed_point_is_the_marchs_solution_on_positively_curved_data(
-    case, alpha0, n, bump, seed
+    case, lam_scale, alpha0, n, bump, seed
 ):
     # The paper's existence argument runs on the map T = (U, V), whose fixed
     # points are the solutions.  Over the positively curved family (see
-    # test_homotopy), Picard at t=1 from the t=0 state plus a bump of up to
-    # 0.5 reaches a gap of 1e-10 and lands on the march's t=1 state.  The
-    # two states' residuals differ by J times their distance, to first
-    # order, and the march's is at most newton_tol, so the distance is at
-    # most ||J^{-1}||_inf (res + newton_tol), with res the Picard state's
+    # test_homotopy), with lambda up to 5 times the family's (so up to 200),
+    # Picard at t=1 from the t=0 state plus a bump of up to 1 reaches a gap
+    # of 1e-10 and lands on the march's t=1 state.  The two states'
+    # residuals differ by J times their distance, to first order, and the
+    # march's is at most newton_tol, so the distance is at most
+    # ||J^{-1}||_inf (res + newton_tol), with res the Picard state's
     # residual.  ||J^{-1}|| is that of the march's t=1 state at n=16: it is
     # mesh independent (on a sample of the family, the same to 6 digits at
     # n=32).  Numerics are strict but for underflow: hypothesis draws
     # subnormal bump amplitudes, and the FFT of a subnormal field underflows.
     spec, lam = case
+    lam *= lam_scale
     grid = make_grid(n, float(spec.degree_sum))
     curv = build_curvature(spec, grid)
     report = march(spec, DemaillyParams(lam=lam, alpha0=alpha0), grid)
@@ -1368,14 +1402,16 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
     # Helmholtz solve).  u_step starts Newton in the density at its anchor
     # f_in + c, c the closed-form shift U takes where lap(U) = 0, and stops
     # once the next correction would move U by at most 1% of U - f_in, so
-    # it takes 0, 1, 1, 1 and 1 solves, which stop at the Newton forcing
-    # tolerance (9 CG matvecs).
+    # it takes 0, 1, 1, 1 and 1 solves.  Each stops at the Newton forcing
+    # tolerance, floored at a tenth of the residual at which that stopping
+    # test passes over sup|F|: 2, 2, 2 and 1 CG matvecs (7).  Without the
+    # floor the last solve runs to 4e-8 and takes 3 (9 in all).
     # The first U is the constant f_in + c (f_in = 0), so the first v_step
     # is spectral.  Each later v_step refines from the current twist and
     # stops within 0.1% of its step: one CG solve to that relative
     # tolerance, 1 matvec each (4).  Solved to newton_tol on every step,
     # u_step takes 2, 2, 1, 1 and 1 solves, and with each later v_step
-    # solved exactly from zero (3 matvecs) the run takes 30 matvecs.
+    # solved exactly from zero (3 matvecs) the run takes 28 matvecs.
     grid = make_grid(32, 4.0)
     spec = BundleSpec.cosine_pair((1, 3), 0.2)
     curv = build_curvature(spec, grid)
@@ -1396,7 +1432,7 @@ def test_picard_readme_case_t1_work_pinned(monkeypatch):
     assert gap <= 1e-9
     assert steps == 5
     assert len(solves) - steps == 4  # u_step's inner Newton solves
-    assert len(matvecs) == 13
+    assert len(matvecs) == 11
     monkeypatch.undo()
     newton = march(spec, replace(params, dt0=1.0), grid).final_state
     assert state_distance(state, newton) <= 1e-8
